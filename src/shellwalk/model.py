@@ -123,16 +123,6 @@ class IsingModel:
             total -= h * spins[i]
         return total
 
-    def delta_energy(self, bits, i):
-        """Energy change from flipping bit ``i`` of ``bits``; O(degree(i))."""
-        if not 0 <= i < self.num_vars:
-            raise IndexError(f"index {i} out of range [0, {self.num_vars})")
-        s_i = 2.0 * bits[i] - 1.0
-        acc = self.fields[i]
-        for j, coupling in self.adjacency[i]:
-            acc += coupling * (2.0 * bits[j] - 1.0)
-        return 2.0 * s_i * acc
-
     # numpy views used by the dense-model candidate scanner
 
     def neighbor_arrays(self):
@@ -332,12 +322,14 @@ class ShellState:
             acc += coupling * spins[j]
         return 2.0 * spins[i] * acc
 
-    def flip(self, i):
+    def flip(self, i, delta=None):
         """Invert bit ``i`` in place, updating all caches incrementally.
 
-        Returns the energy change that was applied.
+        ``delta`` is the flip's energy change, computed here unless the
+        caller holds it. Returns the energy change that was applied.
         """
-        delta = self.delta_energy(i)
+        if delta is None:
+            delta = self.delta_energy(i)
         self.energy += delta
         self.bits[i] ^= 1
         self.spins[i] = -self.spins[i]
@@ -360,6 +352,16 @@ class ShellState:
         if self._flips % ENERGY_REFRESH_INTERVAL == 0:
             self._refresh_energy()
         return delta
+
+    def checkpoint(self):
+        """Copies of everything a flip changes, for ``restore``."""
+        return (list(self.bits), list(self.spins), list(self._members),
+                list(self._pos), self.distance, self.energy)
+
+    def restore(self, saved):
+        """Return in place to a ``checkpoint``; the lists stay the same objects."""
+        (self.bits[:], self.spins[:], self._members[:], self._pos[:],
+         self.distance, self.energy) = saved
 
     def _refresh_energy(self):
         scratch = self.model.energy(self.bits)

@@ -13,7 +13,6 @@ from .model import IsingModel, ShellConstraint, ShellState
 from .saw_proposal import (
     ORDER_DOWN_UP,
     ORDER_UP_DOWN,
-    SawMove,
     SawParams,
     draw_move_shape,
     feasible_k_max,
@@ -83,7 +82,8 @@ class ChainRecord:
     ``seconds_per_move`` is a wall-clock estimate and is deliberately kept out
     of serialized traces so reruns produce byte-identical files;
     ``evals_per_move`` is the deterministic candidate-evaluation count used
-    for compute-fair comparisons.
+    for compute-fair comparisons. It counts forward-walk work only: a
+    rejected move is rolled back from a checkpoint, which costs no evals.
     """
 
     steps: np.ndarray
@@ -107,7 +107,8 @@ class ImSampler:
     order (random policy only), one uniform per walk step, accept uniform.
     The move is accepted with probability
     ``min(1, exp(-beta*(E1 - E0)) * f_rev / f_fwd)``; the shell normalizer
-    cancels in the ratio and is never computed.
+    cancels in the ratio and is never computed. A rejected move restores the
+    engine's pre-move checkpoint instead of walking the flips back.
     """
 
     name = "im"
@@ -143,7 +144,7 @@ class ImSampler:
         return self.engine.evals
 
     def step(self):
-        """Attempt one move; returns (accepted, SawMove)."""
+        """Attempt one move; returns (accepted, walk length k)."""
         state = self.state
         engine = self.engine
         rng = self.rng
@@ -151,31 +152,14 @@ class ImSampler:
         k, order = draw_move_shape(
             self.config.saw, rng, state.distance, self.model.num_vars
         )
-        first, second, bridge, log_fwd, log_rev = run_walks(
-            state, engine, rng, k, order
-        )
+        saved = engine.checkpoint()
+        _, _, log_fwd, log_rev = run_walks(engine, rng, k, order)
         log_alpha = -self.config.beta * (state.energy - energy_before) + log_rev - log_fwd
         if log_alpha > 0.0:
             log_alpha = 0.0
         accepted = rng.random() < math.exp(log_alpha)
-        move = SawMove(
-            order=order,
-            k=k,
-            gamma=self.config.saw.gamma,
-            first_walk=tuple(first),
-            second_walk=tuple(second),
-            bridge=bridge,
-            proposed=state.copy(),
-            log_fwd=log_fwd,
-            log_rev=log_rev,
-        )
         if not accepted:
-            for i in reversed(second):
-                state.flip(i)
-                engine.flip(i)
-            for i in reversed(first):
-                state.flip(i)
-                engine.flip(i)
+            engine.restore(saved)
         self.moves += 1
         self.accepts += accepted
         if self.debug and state.distance != self.shell_distance:
@@ -183,7 +167,7 @@ class ImSampler:
                 f"sampler left the shell: distance {state.distance} != "
                 f"{self.shell_distance}"
             )
-        return accepted, move
+        return accepted, k
 
 
 class MetropolisSampler:
@@ -294,7 +278,7 @@ def run_chain(model, init: ShellState, sampler: str, num_moves, record_stride=1,
             steps.append(move_index)
             energies.append(init.energy)
             accepted_flags.append(accepted)
-            ks.append(outcome.k if sampler == "im" else 0)
+            ks.append(outcome if sampler == "im" else 0)
     elapsed = time.perf_counter() - start
     return ChainRecord(
         steps=np.array(steps, dtype=np.int64),

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .model import IsingModel, ShellState
+from .errors import CoherenceError, ConfigurationError
+from .model import COHERENCE_RTOL, IsingModel, ShellState
 from .weighted_index import WeightedIndexTree
 
 ORDER_UP_DOWN = "up_down"  # toward the reference first, then away
@@ -49,6 +49,10 @@ DENSE_DEGREE_FRACTION = 0.25
 # floor; the fraction-of-M rule alone would misclassify small sparse
 # lattices, where per-step rescans cost more than tree updates.
 MIN_DENSE_DEGREE = 8.0
+
+# Tree-engine flips between from-scratch rebuilds of the local fields and
+# both trees; with an audited state the rebuild also checks the old fields.
+RESYNC_INTERVAL = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -145,6 +149,8 @@ class TreeWalkEngine:
     for currently disagreeing bits (candidates of toward-steps) and one for
     agreeing bits, plus the local fields sum_j J_ij s_j so a flip only touches
     the flipped bit and its graph neighbors: O(degree * log M) per flip.
+    Every bit of a walk is flipped through ``flip``, which also flips the
+    bound state with the energy change read off the local field.
     """
 
     kind = "tree"
@@ -155,11 +161,12 @@ class TreeWalkEngine:
         self.gamma = gamma
         self.evals = 0
         self._flips = 0
-        self._resync_interval = 1 << 16
+        self._local = None
         self.sync()
 
     def sync(self):
-        """Rebuild local fields and both trees from the bound state."""
+        """Rebuild local fields and both trees from the bound state; with an
+        audited state, a drifted local field raises ``CoherenceError``."""
         model = self.model
         state = self.state
         spins = state.spins
@@ -180,13 +187,19 @@ class TreeWalkEngine:
                 toward_w[i] = w
             else:
                 away_w[i] = w
+        if state.audit and self._local is not None:
+            for i, (cached, scratch) in enumerate(zip(self._local, local)):
+                if abs(cached - scratch) > COHERENCE_RTOL * (1.0 + abs(scratch)):
+                    raise CoherenceError(
+                        f"local field {i} is {cached!r}, recomputed {scratch!r}"
+                    )
         self._local = local
         self._toward = WeightedIndexTree(toward_w)
         self._away = WeightedIndexTree(away_w)
         self.evals += num
 
     def flip(self, i):
-        """Refresh weights after ``state.flip(i)`` has been applied."""
+        """Flip bit ``i`` of the bound state and refresh what the flip touches."""
         model = self.model
         state = self.state
         spins = state.spins
@@ -195,26 +208,33 @@ class TreeWalkEngine:
         gamma = self.gamma
         toward = self._toward
         away = self._away
+        state.flip(i, 2.0 * spins[i] * (local[i] + fields[i]))
         s_new = spins[i]
         step = 2.0 * s_new
         for j, coupling in model.adjacency[i]:
             local[j] += step * coupling
             w = math.exp(-gamma * spins[j] * (local[j] + fields[j]))
-            if state.in_disagree(j):
-                toward.update(j, w)
-            else:
-                away.update(j, w)
-        w_i = math.exp(-gamma * s_new * (local[i] + fields[i]))
-        if state.in_disagree(i):
-            away.update(i, 0.0)
-            toward.update(i, w_i)
-        else:
-            toward.update(i, 0.0)
-            away.update(i, w_i)
+            (toward if state.in_disagree(j) else away).update(j, w)
+        # bit i moves from one candidate set to the other
+        old, new = (away, toward) if state.in_disagree(i) else (toward, away)
+        old.update(i, 0.0)
+        new.update(i, math.exp(-gamma * s_new * (local[i] + fields[i])))
         self.evals += len(model.adjacency[i]) + 1
         self._flips += 1
-        if self._flips % self._resync_interval == 0:
+        if self._flips % RESYNC_INTERVAL == 0:
             self.sync()
+
+    def checkpoint(self):
+        """Copies of the bound state, the local fields and both trees."""
+        return (self.state.checkpoint(), list(self._local),
+                self._toward.checkpoint(), self._away.checkpoint())
+
+    def restore(self, saved):
+        """Return the bound state and the engine in place to a ``checkpoint``."""
+        state, self._local[:], toward, away = saved
+        self.state.restore(state)
+        self._toward.restore(toward)
+        self._away.restore(away)
 
     def sample(self, toward, u):
         tree = self._toward if toward else self._away
@@ -234,6 +254,8 @@ class ScanWalkEngine:
     Maintains spins and local fields as vectors; every step recomputes all
     flip energy changes in O(M) (cached per state version, so the reverse-
     factor lookup after a flip reuses the scan of the next sampling step).
+    ``flip`` also flips the bound state, with the energy change read off the
+    local field.
     """
 
     kind = "scan"
@@ -269,11 +291,26 @@ class ScanWalkEngine:
 
     def flip(self, i):
         spins = self._spins
-        spins[i] = -spins[i]
+        s_old = float(spins[i])
+        field_i = float(self._local[i]) + float(self._fields[i])
+        self.state.flip(i, 2.0 * s_old * field_i)
+        spins[i] = -s_old
         idx = self._nbr_idx[i]
         if idx.size:
             self._local[idx] += 2.0 * spins[i] * self._nbr_coup[i]
         self._disagree[i] = not self._disagree[i]
+        self._version += 1
+
+    def checkpoint(self):
+        """Copies of the bound state, spins, local fields and partition mask."""
+        return (self.state.checkpoint(), self._spins.copy(), self._local.copy(),
+                self._disagree.copy())
+
+    def restore(self, saved):
+        """Return the bound state and the engine in place to a ``checkpoint``;
+        the logit cache is invalidated."""
+        state, self._spins[:], self._local[:], self._disagree[:] = saved
+        self.state.restore(state)
         self._version += 1
 
     def _logits(self):
@@ -345,36 +382,27 @@ def draw_move_shape(params, rng, distance, num_vars):
     return min(k_raw, limit), order
 
 
-def run_walks(state, engine, rng, k, order):
+def run_walks(engine, rng, k, order):
     """Generate both walks in place, accumulating forward and reverse logs.
 
-    Mutates ``state`` (and ``engine``) to the proposed configuration. The
+    Flips the engine and its bound state to the proposed configuration and
+    returns (first walk, second walk, log_fwd, log_rev). The
     reverse log probability is accumulated in the same sweep: immediately
     after each flip the walked bit sits in the opposite candidate set, and the
     current state is exactly the intermediate state the reversed move would
     pass through, so its selection probability can be read off directly.
     """
     first_toward = order == ORDER_UP_DOWN
-    log_fwd = 0.0
-    log_rev = 0.0
-    first = []
-    for _ in range(k):
-        i, log_p = engine.sample(first_toward, rng.random())
-        log_fwd += log_p
-        state.flip(i)
-        engine.flip(i)
-        log_rev += engine.log_prob(not first_toward, i)
-        first.append(i)
-    bridge = state.copy()
-    second = []
-    for _ in range(k):
-        i, log_p = engine.sample(not first_toward, rng.random())
-        log_fwd += log_p
-        state.flip(i)
-        engine.flip(i)
-        log_rev += engine.log_prob(first_toward, i)
-        second.append(i)
-    return first, second, bridge, log_fwd, log_rev
+    log_fwd = log_rev = 0.0
+    first, second = [], []
+    for toward, walk in ((first_toward, first), (not first_toward, second)):
+        for _ in range(k):
+            i, log_p = engine.sample(toward, rng.random())
+            log_fwd += log_p
+            engine.flip(i)
+            log_rev += engine.log_prob(not toward, i)
+            walk.append(i)
+    return first, second, log_fwd, log_rev
 
 
 def propose(model, state, params, rng, engine="auto"):
@@ -386,7 +414,10 @@ def propose(model, state, params, rng, engine="auto"):
     work = state.copy()
     eng = make_engine(model, work, params.gamma, engine)
     k, order = draw_move_shape(params, rng, work.distance, model.num_vars)
-    first, second, bridge, log_fwd, log_rev = run_walks(work, eng, rng, k, order)
+    first, second, log_fwd, log_rev = run_walks(eng, rng, k, order)
+    bridge = state.copy()
+    for i in first:
+        bridge.flip(i)
     return SawMove(
         order=order,
         k=k,

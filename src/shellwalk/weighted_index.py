@@ -4,22 +4,19 @@ from __future__ import annotations
 
 import math
 
-# Updates between full rebuilds of the internal sums; bounds float drift
-# accumulated by incremental parent fixes over million-step runs.
-REBUILD_INTERVAL = 1 << 16
-
 
 class WeightedIndexTree:
     """Complete binary tree of partial sums over nonnegative leaf weights.
 
     ``sample(u)`` maps a uniform draw u in [0,1) to the unique leaf whose
     prefix-sum interval [sum(w[:i]), sum(w[:i+1])) / total contains u*total,
-    so P(i) = w_i / total. Both sampling and single-leaf updates touch at most
-    ceil(log2(l)) + 1 nodes; ``last_visits`` records the count for the most
-    recent operation.
+    so P(i) = w_i / total. Both sampling and single-leaf updates touch
+    ``last_visits`` = ceil(log2(l)) + 1 nodes. An update recomputes every
+    ancestor from its two children, so the internal sums always equal a
+    fresh build's and never drift.
     """
 
-    __slots__ = ("_n", "_base", "_nodes", "_updates", "last_visits")
+    __slots__ = ("_n", "_base", "_nodes")
 
     def __init__(self, weights=()):
         weights = [float(w) for w in weights]
@@ -31,29 +28,19 @@ class WeightedIndexTree:
         while base < max(self._n, 1):
             base <<= 1
         self._base = base
-        self._nodes = [0.0] * (2 * base)
-        self._nodes[base : base + self._n] = weights
-        self._rebuild()
-        self._updates = 0
-        self.last_visits = 0
-
-    def _rebuild(self):
-        nodes = self._nodes
-        for p in range(self._base - 1, 0, -1):
+        nodes = self._nodes = [0.0] * (2 * base)
+        nodes[base : base + self._n] = weights
+        for p in range(base - 1, 0, -1):
             nodes[p] = nodes[2 * p] + nodes[2 * p + 1]
 
     @property
-    def capacity(self):
-        return self._n
+    def last_visits(self):
+        """Nodes one sample or update touches: the leaf and its ancestors."""
+        return self._base.bit_length()
 
     @property
     def total(self):
         return self._nodes[1]
-
-    def weight(self, i):
-        if not 0 <= i < self._n:
-            raise IndexError(f"index {i} out of range [0, {self._n})")
-        return self._nodes[self._base + i]
 
     def weights(self):
         return list(self._nodes[self._base : self._base + self._n])
@@ -71,17 +58,10 @@ class WeightedIndexTree:
         nodes = self._nodes
         p = self._base + i
         nodes[p] = w
-        visits = 1
         p >>= 1
         while p:
             nodes[p] = nodes[2 * p] + nodes[2 * p + 1]
-            visits += 1
             p >>= 1
-        self.last_visits = visits
-        self._updates += 1
-        if self._updates >= REBUILD_INTERVAL:
-            self._rebuild()
-            self._updates = 0
 
     def sample(self, u):
         """Deterministic descent for the leaf whose interval contains u*total."""
@@ -94,7 +74,6 @@ class WeightedIndexTree:
         base = self._base
         target = u * total
         node = 1
-        visits = 1
         while node < base:
             left = 2 * node
             lw = nodes[left]
@@ -108,13 +87,13 @@ class WeightedIndexTree:
             else:
                 node = left + 1
                 target -= lw
-            visits += 1
-        self.last_visits = visits
         return node - base
 
     def log_weight_fraction(self, i):
         """log(w_i) - log(total); raises on zero weight or empty support."""
-        w = self.weight(i)
+        if not 0 <= i < self._n:
+            raise IndexError(f"index {i} out of range [0, {self._n})")
+        w = self._nodes[self._base + i]
         total = self._nodes[1]
         if w <= 0.0 or total <= 0.0:
             raise ValueError(
@@ -122,7 +101,10 @@ class WeightedIndexTree:
             )
         return math.log(w) - math.log(total)
 
+    def checkpoint(self):
+        """A copy of every node, for ``restore``."""
+        return list(self._nodes)
 
-def build(weights):
-    """Construct a tree over the given nonnegative weights; O(l)."""
-    return WeightedIndexTree(weights)
+    def restore(self, nodes):
+        """Return in place to a ``checkpoint`` of this tree."""
+        self._nodes[:] = nodes

@@ -40,7 +40,7 @@ from shellwalk.oracle import (
     tv_distance,
 )
 from shellwalk.saw_proposal import propose
-from shellwalk.weighted_index import build
+from shellwalk.weighted_index import WeightedIndexTree
 
 WORKERS = min(2, os.cpu_count() or 1)
 
@@ -269,7 +269,7 @@ def test_weighted_index_oracle():
     rng = np.random.default_rng(99)
     weights = rng.uniform(0.0, 2.0, size=64)
     weights[rng.integers(0, 64, size=8)] = 0.0
-    tree = build(weights)
+    tree = WeightedIndexTree(weights)
     draws = 1_000_000
     counts = np.zeros(64, dtype=np.int64)
     for u in rng.random(draws):
@@ -284,14 +284,14 @@ def test_weighted_index_oracle():
     _, p = stats.chisquare(observed, grouped)
 
     work = rng.uniform(0.0, 1.0, size=1000)
-    tree2 = build(work)
+    tree2 = WeightedIndexTree(work)
     for _ in range(10_000):
         i = int(rng.integers(0, 1000))
         work[i] = float(rng.uniform(0.0, 1.0))
         tree2.update(i, work[i])
     rebuild_gap = float(
         np.max(np.abs(np.array(tree2.internal_sums())
-                      - np.array(build(work).internal_sums())))
+                      - np.array(WeightedIndexTree(work).internal_sums())))
     )
     ok = p > 0.001 and rebuild_gap <= 1e-7
     assert report(

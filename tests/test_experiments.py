@@ -77,6 +77,14 @@ def digest_directory(root):
     return out
 
 
+# sha256 of the step,energy,accepted,k rows of the walk trace of one desk
+# trial of 400 moves at seed 4; pins the walk sampler's trajectory
+TRACE_ROW_DIGESTS = {
+    "ferro2d": "fae0b1f4287fb634723d751a833051fc626924d24236d5ac4ee84be82376bdcb",
+    "glass3d": "79b47c01a9e43e69d2b491bb30c58d3ad92dcf30c042bebdf4518f4487cd2777",
+}
+
+
 class TestRunExperiment:
     def test_small_run_outputs(self, tmp_path):
         summary = run_experiment(
@@ -101,6 +109,14 @@ class TestRunExperiment:
             assert len(stats["final_quarter_energy"]) == 2
             assert 0.0 <= stats["acceptance_rate_mean"] <= 1.0
         assert summary["tau_ratio_met_over_im"] > 0
+
+    @pytest.mark.parametrize("preset", sorted(TRACE_ROW_DIGESTS))
+    def test_walk_trace_rows_are_pinned(self, tmp_path, preset):
+        run_experiment(preset, scale="desk", out_dir=tmp_path, trials=1, seed=4,
+                       im_moves=400)
+        text = (tmp_path / "trace_im_000.csv").read_text(encoding="utf-8")
+        rows = text.split("step,energy,accepted,k\n", 1)[1]
+        assert hashlib.sha256(rows.encode()).hexdigest() == TRACE_ROW_DIGESTS[preset]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         kwargs = dict(scale="desk", trials=2, seed=9, im_moves=100, max_lag=15)

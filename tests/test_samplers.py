@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from shellwalk.analysis import load_trace
 from shellwalk.errors import ConfigurationError
 from shellwalk.generators import cube3d_pm_j, grid2d
 from shellwalk.oracle import check_pathwise_db
+from shellwalk.saw_proposal import propose
 
 
 def free_model(num_vars):
@@ -53,10 +55,13 @@ class TestImSampler:
             )
             sampler = ImSampler(model, state, config, rng=rng)
             for _ in range(10):
+                # the move step() draws, proposed from copies of its inputs
                 start = state.copy()
-                _, move = sampler.step()
+                move = propose(model, start, config.saw, copy.deepcopy(sampler.rng))
                 _, _, gap = check_pathwise_db(model, beta, move, start)
                 assert gap <= 1e-10
+                sampler.step()
+                assert state.bits in (move.proposed.bits, start.bits)
 
     def test_shell_preserved(self):
         model = grid2d(4, 1.0, 0.0)
@@ -104,6 +109,82 @@ class TestImSampler:
         config = ImConfig(beta=0.5, saw=SawParams(gamma=0.5, k_min=5, k_max=6))
         with pytest.raises(ConfigurationError):
             ImSampler(model, state, config, rng=rng)
+
+
+def engine_snapshot(engine):
+    """Every per-bit value a walk move changes, as exactly comparable lists."""
+    state = engine.state
+    parts = [list(state.bits), list(state.spins), state.energy, state.distance,
+             state.disagree_indices(), state.agree_indices()]
+    if engine.kind == "tree":
+        return parts + [list(engine._local), engine._toward.checkpoint(),
+                        engine._away.checkpoint()]
+    return parts + [engine._spins.tolist(), engine._local.tolist(),
+                    engine._disagree.tolist()]
+
+
+def rejecting_chain(engine, seed):
+    """A 4x4 grid with non-integer coupling and field, and a walk sampler
+    that rejects about half of its moves."""
+    model = grid2d(4, 0.37, 0.11)
+    rng = chain_rng(seed)
+    state = random_shell_state(model, ShellConstraint((0,) * 16, 7), rng)
+    config = ImConfig(beta=1.2, saw=SawParams(gamma=0.8, k_min=1, k_max=5),
+                      engine=engine)
+    return model, state, config, rng
+
+
+class TestRollback:
+    @pytest.mark.parametrize("engine", ["tree", "scan"])
+    def test_rejected_step_restores_everything(self, engine):
+        model, state, config, rng = rejecting_chain(engine, 8)
+        sampler = ImSampler(model, state, config, rng=rng)
+        rejected = 0
+        for _ in range(300):
+            before = engine_snapshot(sampler.engine)
+            accepted, _ = sampler.step()
+            if not accepted:
+                rejected += 1
+                assert engine_snapshot(sampler.engine) == before
+        assert rejected >= 100
+
+    def test_tree_and_scan_chains_agree(self):
+        records, states = {}, {}
+        for engine in ("tree", "scan"):
+            model, states[engine], config, rng = rejecting_chain(engine, 12)
+            records[engine] = run_chain(model, states[engine], "im", 3000,
+                                        config=config, rng=rng)
+        tree, scan = records["tree"], records["scan"]
+        assert tree.acceptance_rate <= 2 / 3
+        assert np.array_equal(tree.accepted, scan.accepted)
+        assert np.array_equal(tree.ks, scan.ks)
+        assert np.allclose(tree.energies, scan.energies, rtol=1e-12, atol=1e-12)
+        assert states["tree"].bits == states["scan"].bits
+
+    def test_evals_count_forward_flips_only(self):
+        # integer couplings: propose() from copies draws the same walks as
+        # the sampler's incrementally kept engine
+        model = grid2d(4, 1.0, 0.0)
+        constraint = ShellConstraint((0,) * 16, 7)
+        config = ImConfig(beta=0.9, saw=SawParams(gamma=0.9, k_min=1, k_max=5),
+                          engine="tree")
+        rng = chain_rng(4)
+        state = random_shell_state(model, constraint, rng)
+        init, init_rng = state.copy(), copy.deepcopy(rng)
+        sampler = ImSampler(model, state, config, rng=rng)
+        expected = 0
+        for _ in range(200):
+            move = propose(model, state, config.saw, copy.deepcopy(rng), engine="tree")
+            flips = move.first_walk + move.second_walk
+            assert len(flips) == 2 * move.k
+            cost = sum(len(model.adjacency[i]) + 1 for i in flips)
+            before = sampler.evals
+            sampler.step()
+            assert sampler.evals - before == cost
+            expected += cost
+        assert sampler.accepts < 200
+        record = run_chain(model, init, "im", 200, config=config, rng=init_rng)
+        assert record.evals_per_move == expected / 200
 
 
 class TestMetropolisSampler:

@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shellwalk import IsingModel, ShellConstraint, ShellState
-from shellwalk.errors import ConfigurationError
+from shellwalk.errors import CoherenceError, ConfigurationError
 from shellwalk.generators import grid2d, rbm_gabor
 from shellwalk.samplers import random_shell_state
 from shellwalk.saw_proposal import (
     ORDER_DOWN_UP,
     ORDER_UP_DOWN,
+    RESYNC_INTERVAL,
     SawParams,
     TreeWalkEngine,
     choose_engine_kind,
@@ -275,11 +276,7 @@ class TestEngines:
         engine = TreeWalkEngine(model, state, gamma=0.5)
         reference = TreeWalkEngine(model, state.copy(), gamma=0.5)
         path = [int(rng.integers(0, model.num_vars)) for _ in range(6)]
-        for i in path:
-            state.flip(i)
-            engine.flip(i)
-        for i in reversed(path):
-            state.flip(i)
+        for i in path + path[::-1]:
             engine.flip(i)
         for toward in (True, False):
             for i in range(model.num_vars):
@@ -289,6 +286,16 @@ class TestEngines:
                     assert math.isinf(got)
                 else:
                     assert got == pytest.approx(want, abs=1e-9)
+
+    def test_resync_audit_catches_field_drift(self):
+        model = grid2d(3, 1.0, 0.0)
+        state = ShellState(model, [0] * 9, (0,) * 9, audit=True)
+        engine = TreeWalkEngine(model, state, gamma=0.5)
+        # bit 8 is no neighbor of bit 0, so only the periodic rebuild reads it
+        engine._local[8] += 1.0
+        with pytest.raises(CoherenceError, match="local field 8"):
+            for _ in range(RESYNC_INTERVAL):
+                engine.flip(0)
 
     def test_kind_selection(self):
         sparse = grid2d(8, 1.0, 0.0)

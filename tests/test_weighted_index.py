@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shellwalk.weighted_index import build
+from shellwalk.weighted_index import WeightedIndexTree
 
 
 def naive_sample(weights, u):
@@ -22,10 +22,10 @@ def naive_sample(weights, u):
 
 class TestBuild:
     def test_uniform_total(self):
-        assert build([1, 1, 1, 1]).total == 4.0
+        assert WeightedIndexTree([1, 1, 1, 1]).total == 4.0
 
     def test_empty_tree(self):
-        tree = build([])
+        tree = WeightedIndexTree([])
         assert tree.total == 0.0
         with pytest.raises(ValueError):
             tree.sample(0.5)
@@ -33,29 +33,29 @@ class TestBuild:
     def test_total_matches_naive_sum(self):
         rng = np.random.default_rng(0)
         weights = rng.uniform(0, 10, size=1000)
-        tree = build(weights)
+        tree = WeightedIndexTree(weights)
         assert tree.total == pytest.approx(math.fsum(weights), abs=1e-9)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            build([1.0, -0.5])
+            WeightedIndexTree([1.0, -0.5])
 
 
 class TestSample:
     def test_single_support_point(self):
-        tree = build([0, 0, 5])
+        tree = WeightedIndexTree([0, 0, 5])
         for u in (0.0, 0.3, 0.999):
             assert tree.sample(u) == 2
 
     def test_prefix_interval_placement(self):
-        tree = build([1, 1, 1, 1])
+        tree = WeightedIndexTree([1, 1, 1, 1])
         assert tree.sample(0.3) == 1
 
     def test_matches_naive_distribution(self):
         rng = np.random.default_rng(42)
         weights = rng.uniform(0, 3, size=37)
         weights[rng.integers(0, 37, size=5)] = 0.0
-        tree = build(weights)
+        tree = WeightedIndexTree(weights)
         draws = 100_000
         counts = np.zeros(37, dtype=int)
         for u in rng.random(draws):
@@ -80,7 +80,7 @@ class TestSample:
     @settings(max_examples=60, deadline=None)
     def test_interval_partition(self, weights):
         # evaluating just inside each leaf's prefix interval must return it
-        tree = build(weights)
+        tree = WeightedIndexTree(weights)
         total = tree.total
         eps = 1e-9
         acc = 0.0
@@ -93,7 +93,7 @@ class TestSample:
             acc += w
 
     def test_zero_weights_never_sampled(self):
-        tree = build([0.0, 2.0, 0.0, 1.0, 0.0])
+        tree = WeightedIndexTree([0.0, 2.0, 0.0, 1.0, 0.0])
         rng = np.random.default_rng(3)
         seen = {tree.sample(u) for u in rng.random(2000)}
         assert seen <= {1, 3}
@@ -101,13 +101,13 @@ class TestSample:
 
 class TestUpdate:
     def test_update_to_zero_removes_support(self):
-        tree = build([1.0, 1.0])
+        tree = WeightedIndexTree([1.0, 1.0])
         tree.update(0, 0.0)
         rng = np.random.default_rng(1)
         assert all(tree.sample(u) == 1 for u in rng.random(200))
 
     def test_total_additivity(self):
-        tree = build([1.0, 2.0, 3.0])
+        tree = WeightedIndexTree([1.0, 2.0, 3.0])
         old_total = tree.total
         tree.update(1, 5.0)
         assert tree.total == pytest.approx(old_total - 2.0 + 5.0, abs=1e-9)
@@ -115,39 +115,39 @@ class TestUpdate:
     def test_many_updates_match_rebuild(self):
         rng = np.random.default_rng(9)
         weights = rng.uniform(0, 1, size=1000)
-        tree = build(weights)
+        tree = WeightedIndexTree(weights)
         for _ in range(10_000):
             i = int(rng.integers(0, 1000))
             weights[i] = float(rng.uniform(0, 1))
             tree.update(i, weights[i])
-        fresh = build(weights)
-        assert np.allclose(tree.internal_sums(), fresh.internal_sums(), atol=1e-7)
+        fresh = WeightedIndexTree(weights)
+        assert tree.internal_sums() == fresh.internal_sums()
         assert tree.weights() == fresh.weights()
 
     def test_rejects_negative(self):
-        tree = build([1.0])
+        tree = WeightedIndexTree([1.0])
         with pytest.raises(ValueError):
             tree.update(0, -1.0)
 
     def test_index_range(self):
-        tree = build([1.0, 2.0])
+        tree = WeightedIndexTree([1.0, 2.0])
         with pytest.raises(IndexError):
             tree.update(2, 1.0)
 
 
 class TestLogWeightFraction:
     def test_uniform(self):
-        tree = build([1.0] * 4)
+        tree = WeightedIndexTree([1.0] * 4)
         assert tree.log_weight_fraction(2) == pytest.approx(-math.log(4))
 
     def test_single_support(self):
-        tree = build([0.0, 7.0, 0.0])
+        tree = WeightedIndexTree([0.0, 7.0, 0.0])
         assert tree.log_weight_fraction(1) == pytest.approx(0.0)
 
     def test_matches_naive(self):
         rng = np.random.default_rng(5)
         weights = rng.uniform(0.1, 4.0, size=50)
-        tree = build(weights)
+        tree = WeightedIndexTree(weights)
         total = math.fsum(weights)
         for i in range(50):
             assert tree.log_weight_fraction(i) == pytest.approx(
@@ -155,7 +155,7 @@ class TestLogWeightFraction:
             )
 
     def test_zero_weight_is_domain_error(self):
-        tree = build([0.0, 1.0])
+        tree = WeightedIndexTree([0.0, 1.0])
         with pytest.raises(ValueError):
             tree.log_weight_fraction(0)
 
@@ -164,7 +164,7 @@ class TestComplexity:
     @pytest.mark.parametrize("size", [1, 2, 3, 7, 8, 100, 1000])
     def test_visit_counts(self, size):
         rng = np.random.default_rng(size)
-        tree = build(rng.uniform(0.1, 1.0, size=size))
+        tree = WeightedIndexTree(rng.uniform(0.1, 1.0, size=size))
         bound = math.ceil(math.log2(size)) + 1 if size > 1 else 1
         for _ in range(50):
             tree.sample(float(rng.random()))
