@@ -134,9 +134,10 @@ class AcfCurve:
 
 
 def average_acf(per_trial, lag_unit=1.0, label=""):
-    """Combine per-trial ACF arrays into a mean curve with spread."""
-    if len(per_trial) < 2:
-        raise ValueError("need at least 2 trials to average")
+    """Combine per-trial ACF arrays into a mean curve with spread (zero for
+    a single trial)."""
+    if not per_trial:
+        raise ValueError("need at least 1 trial to average")
     stacked = np.vstack([np.asarray(c, dtype=np.float64) for c in per_trial])
     if stacked.ndim != 2:
         raise ValueError("per-trial curves must share one lag grid")
@@ -151,6 +152,24 @@ def average_acf(per_trial, lag_unit=1.0, label=""):
         lag_unit=lag_unit,
         label=label,
     )
+
+
+def trial_acf(traces, max_lag, lag_unit=1.0, label=""):
+    """Per-trial ACFs of ``traces`` and their average on one lag grid.
+
+    The lag is capped at the shortest trace's length minus 2, the longest
+    lag ``acf`` accepts for it. Returns ``(curve, per_trial)``.
+    """
+    max_lag = min(max_lag, min(len(t) for t in traces) - 2)
+    per_trial = []
+    for trace in traces:
+        try:
+            per_trial.append(acf(trace, max_lag))
+        except DegenerateTraceError as exc:
+            raise DegenerateTraceError(
+                f"{trace.meta.get('path', '<trace>')}: {exc}"
+            ) from exc
+    return average_acf(per_trial, lag_unit=lag_unit, label=label), per_trial
 
 
 def integrated_time(curve):

@@ -47,11 +47,11 @@ from .oracle import (
     tv_distance,
 )
 from .samplers import (
+    ChainSpec,
     ImConfig,
     MetropolisConfig,
     chain_rng,
     random_shell_state,
-    run_chain,
     write_trace_csv,
 )
 from .saw_proposal import SawParams, propose
@@ -79,6 +79,13 @@ def _positive_int(text):
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _nonnegative_fraction(text):
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
     return value
 
 
@@ -124,49 +131,28 @@ def _resolve_shell_distance(args, num_vars):
 def cmd_sample(args):
     model = load_model(args.model)
     n = _resolve_shell_distance(args, model.num_vars)
-    constraint = ShellConstraint(tuple([0] * model.num_vars), n)
     gamma = args.gamma if args.gamma is not None else args.beta
-    k_min = args.k if args.k is not None else args.k_min
-    k_max = args.k if args.k is not None else args.k_max
     os.makedirs(args.out, exist_ok=True)
-    burn_in = int(round(args.burn_in_fraction * args.moves))
     files = []
     for trial in range(args.trials):
-        rng = chain_rng(args.seed, trial)
-        init = random_shell_state(model, constraint, rng, audit=args.debug)
-        if args.sampler == "im":
-            config = ImConfig(
-                beta=args.beta,
-                saw=SawParams(gamma=gamma, k_min=k_min, k_max=k_max,
-                              order_policy=args.order),
-                seed=args.seed,
-                engine=args.engine,
-            )
-        else:
-            config = MetropolisConfig(beta=args.beta, seed=args.seed)
-        record = run_chain(
-            model, init, args.sampler, args.moves, record_stride=args.stride,
-            config=config, rng=rng, burn_in=burn_in, debug=args.debug,
+        spec = ChainSpec(
+            sampler=args.sampler,
+            beta=args.beta,
+            gamma=gamma,
+            k_min=args.k if args.k is not None else args.k_min,
+            k_max=args.k if args.k is not None else args.k_max,
+            order=args.order,
+            engine=args.engine,
+            shell_distance=n,
+            moves=args.moves,
+            stride=args.stride,
+            burn_in=int(round(args.burn_in_fraction * args.moves)),
+            seed=args.seed,
+            trial=trial,
+            chain_index=trial,
         )
-        meta = {
-            "model": args.model,
-            "sampler": args.sampler,
-            "beta": args.beta,
-            "gamma": gamma,
-            "seed": args.seed,
-            "moves": args.moves,
-            "stride": args.stride,
-            "trial": trial,
-            "burn_in": burn_in,
-            "n": n,
-            "k_min": k_min,
-            "k_max": k_max,
-            "order": args.order,
-            "engine": args.engine if args.sampler == "im" else "-",
-            "evals_per_move": record.evals_per_move,
-            "cost_per_sample": record.evals_per_move * args.stride,
-            "acceptance_rate": record.acceptance_rate,
-        }
+        record = spec.run(model, debug=args.debug)
+        meta = spec.trace_meta(record, args.model, record.evals_per_move * args.stride)
         name = f"trace_{args.sampler}_{trial:03d}.csv"
         write_trace_csv(record, os.path.join(args.out, name), meta)
         files.append({"path": name, "kind": "trace",
@@ -212,32 +198,11 @@ def cmd_analyze(args):
         stride = analysis.fair_stride(reference_cost, costs[sampler])
         resampled = [analysis.subsample(t, stride) for t in traces]
         unit = costs[sampler] * stride / reference_cost
-        max_lag = min(
-            args.max_lag, min(len(t) for t in resampled) - 2
-        )
-        if max_lag < 1:
+        if min(len(t) for t in resampled) < 3:
             raise ConfigurationError(
                 f"traces for {sampler!r} are too short after fair subsampling"
             )
-        per_trial = []
-        for trace in resampled:
-            try:
-                per_trial.append(analysis.acf(trace, max_lag))
-            except DegenerateTraceError as exc:
-                raise DegenerateTraceError(
-                    f"{trace.meta.get('path', '<trace>')}: {exc}"
-                ) from exc
-        if len(per_trial) >= 2:
-            curve = analysis.average_acf(per_trial, lag_unit=unit, label=sampler)
-        else:
-            curve = analysis.AcfCurve(
-                lags=np.arange(max_lag + 1, dtype=np.float64) * unit,
-                mean=per_trial[0],
-                variance=np.zeros(max_lag + 1),
-                num_trials=1,
-                lag_unit=unit,
-                label=sampler,
-            )
+        curve, _ = analysis.trial_acf(resampled, args.max_lag, unit, sampler)
         curves.append(curve)
         name = f"acf_{sampler}.csv"
         analysis.write_acf_csv(curve, os.path.join(args.out, name))
@@ -352,11 +317,8 @@ def cmd_verify(args):
 
 
 def cmd_experiment(args):
-    def progress(payload):
-        print(
-            f"finished {payload['sampler']} trial {payload['trial']} "
-            f"({payload['moves']} moves)"
-        )
+    def progress(spec):
+        print(f"finished {spec.sampler} trial {spec.trial} ({spec.moves} moves)")
 
     summary = experiments.run_experiment(
         args.preset,
@@ -441,7 +403,7 @@ def build_parser():
     s.add_argument("--moves", type=_positive_int, required=True)
     s.add_argument("--trials", type=_positive_int, default=1)
     s.add_argument("--stride", type=_positive_int, default=1)
-    s.add_argument("--burn-in-fraction", type=float, default=0.1)
+    s.add_argument("--burn-in-fraction", type=_nonnegative_fraction, default=0.1)
     s.add_argument("--seed", type=int, default=None)
     s.add_argument("--engine", choices=("auto", "tree", "scan"), default="auto")
     s.add_argument("--debug", action="store_true",
@@ -476,7 +438,7 @@ def build_parser():
                    default=max(1, os.cpu_count() or 1))
     e.add_argument("--im-moves", type=_positive_int, default=None)
     e.add_argument("--fair-ratio", type=_positive_int, default=None)
-    e.add_argument("--burn-in-fraction", type=float, default=0.1)
+    e.add_argument("--burn-in-fraction", type=_nonnegative_fraction, default=0.1)
     e.add_argument("--max-lag", type=_positive_int, default=None)
     e.add_argument("--verbose", action="store_true")
     e.add_argument("--out", required=True)

@@ -15,26 +15,20 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
 from . import analysis
 from .errors import ConfigurationError
 from .generators import cube3d_pm_j, grid2d, rbm_gabor, save_model
-from .model import IsingModel, ShellConstraint
-from .samplers import (
-    ImConfig,
-    MetropolisConfig,
-    chain_rng,
-    random_shell_state,
-    run_chain,
-    write_trace_csv,
-)
-from .saw_proposal import SawParams
+from .samplers import ChainSpec, write_trace_csv
 
 SCALES = ("paper", "desk")
 PRESET_NAMES = ("ferro2d", "glass3d", "rbm")
+SAMPLERS = ("im", "metropolis")
 
 CRITICAL_BETA = 1.0 / 2.27
 
@@ -156,72 +150,37 @@ def build_model(config: ExperimentConfig):
     raise ConfigurationError(f"unknown generator {config.generator!r}")
 
 
-def _trial_payloads(config: ExperimentConfig, model_doc):
-    payloads = []
+def chain_specs(config: ExperimentConfig):
+    """The chains of a preset run: per trial a walk chain and a Metropolis
+    chain with ``fair_ratio`` times the moves, recorded at that stride."""
+    specs = []
     for trial in range(config.trials):
-        for sampler in ("im", "metropolis"):
-            chain_index = 2 * trial + (0 if sampler == "im" else 1)
-            moves = (
-                config.im_moves
-                if sampler == "im"
-                else config.im_moves * config.fair_ratio
-            )
+        for index, sampler in enumerate(SAMPLERS):
             stride = 1 if sampler == "im" else config.fair_ratio
-            payloads.append(
-                {
-                    "model_doc": model_doc,
-                    "sampler": sampler,
-                    "trial": trial,
-                    "chain_index": chain_index,
-                    "moves": moves,
-                    "stride": stride,
-                    "burn_in": int(round(config.burn_in_fraction * moves)),
-                    "beta": config.beta,
-                    "gamma": config.gamma,
-                    "k_min": config.k_min,
-                    "k_max": config.k_max,
-                    "order_policy": config.order_policy,
-                    "shell_distance": config.shell_distance,
-                    "seed": config.seed,
-                    "engine": config.engine,
-                }
-            )
-    return payloads
+            moves = config.im_moves * stride
+            specs.append(ChainSpec(
+                sampler=sampler,
+                beta=config.beta,
+                gamma=config.gamma,
+                k_min=config.k_min,
+                k_max=config.k_max,
+                order=config.order_policy,
+                engine=config.engine,
+                shell_distance=config.shell_distance,
+                moves=moves,
+                stride=stride,
+                burn_in=int(round(config.burn_in_fraction * moves)),
+                seed=config.seed,
+                trial=trial,
+                chain_index=2 * trial + index,
+            ))
+    return specs
 
 
-def run_trial(payload):
-    """Run one chain from a picklable payload; used by the worker pool."""
-    model = IsingModel.from_dict(payload["model_doc"])
-    constraint = ShellConstraint(
-        tuple([0] * model.num_vars), payload["shell_distance"]
-    )
-    rng = chain_rng(payload["seed"], payload["chain_index"])
-    init = random_shell_state(model, constraint, rng)
-    if payload["sampler"] == "im":
-        config = ImConfig(
-            beta=payload["beta"],
-            saw=SawParams(
-                gamma=payload["gamma"],
-                k_min=payload["k_min"],
-                k_max=payload["k_max"],
-                order_policy=payload["order_policy"],
-            ),
-            seed=payload["seed"],
-            engine=payload["engine"],
-        )
-    else:
-        config = MetropolisConfig(beta=payload["beta"], seed=payload["seed"])
-    record = run_chain(
-        model,
-        init,
-        payload["sampler"],
-        payload["moves"],
-        record_stride=payload["stride"],
-        config=config,
-        rng=rng,
-        burn_in=payload["burn_in"],
-    )
-    return payload, record
+def run_trial(config: ExperimentConfig, spec: ChainSpec):
+    """Run one chain of ``config``. A pool worker rebuilds the model from the
+    preset, which costs less than pickling and parsing its document."""
+    return spec.run(build_model(config))
 
 
 def _first_drop_lag(curve: analysis.AcfCurve, threshold=ACF_DROP_THRESHOLD):
@@ -254,62 +213,32 @@ def run_config(config: ExperimentConfig, out_dir=".", workers=1,
     summary dict and writes the same files as ``run_experiment``.
     """
     os.makedirs(out_dir, exist_ok=True)
-    model = build_model(config)
-    model_path = os.path.join(out_dir, "model.json")
-    save_model(model, model_path)
+    save_model(build_model(config), os.path.join(out_dir, "model.json"))
     produced = [{"path": "model.json", "kind": "model",
                  "params": {"generator": config.generator, **config.generator_args}}]
 
-    payloads = _trial_payloads(config, model.to_dict())
-    results = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for payload, record in pool.map(run_trial, payloads):
-                results.append((payload, record))
-                if progress:
-                    progress(payload)
-    else:
-        for payload in payloads:
-            results.append(run_trial(payload))
+    # one recorded sample of either sampler = fair_ratio Metropolis moves
+    cost_per_sample = float(config.fair_ratio)
+    traces = {sampler: [] for sampler in SAMPLERS}
+    records = {sampler: [] for sampler in SAMPLERS}
+    specs = chain_specs(config)
+    with ExitStack() as stack:
+        chains = map
+        if workers > 1:
+            chains = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
+        for spec, record in zip(specs, chains(partial(run_trial, config), specs)):
             if progress:
-                progress(payload)
-
-    traces = {"im": [], "metropolis": []}
-    records = {"im": [], "metropolis": []}
-    for payload, record in results:
-        sampler = payload["sampler"]
-        name = f"trace_{sampler}_{payload['trial']:03d}.csv"
-        # one recorded sample of either sampler = fair_ratio Metropolis moves
-        cost_per_sample = float(config.fair_ratio)
-        meta = {
-            "model": "model.json",
-            "sampler": sampler,
-            "beta": config.beta,
-            "gamma": config.gamma,
-            "seed": config.seed,
-            "moves": payload["moves"],
-            "stride": payload["stride"],
-            "trial": payload["trial"],
-            "burn_in": payload["burn_in"],
-            "n": config.shell_distance,
-            "k_min": config.k_min,
-            "k_max": config.k_max,
-            "order": config.order_policy,
-            "engine": config.engine if sampler == "im" else "-",
-            "evals_per_move": record.evals_per_move,
-            "cost_per_sample": cost_per_sample,
-            "acceptance_rate": record.acceptance_rate,
-        }
-        write_trace_csv(record, os.path.join(out_dir, name), meta)
-        produced.append({"path": name, "kind": "trace",
-                         "params": {"sampler": sampler, "trial": payload["trial"],
-                                    "moves": payload["moves"],
-                                    "stride": payload["stride"]}})
-        traces[sampler].append(
-            analysis.EnergyTrace(record.energies,
-                                 {"cost_per_sample": cost_per_sample})
-        )
-        records[sampler].append(record)
+                progress(spec)
+            name = f"trace_{spec.sampler}_{spec.trial:03d}.csv"
+            path = os.path.join(out_dir, name)
+            write_trace_csv(record, path,
+                            spec.trace_meta(record, "model.json", cost_per_sample))
+            produced.append({"path": name, "kind": "trace",
+                             "params": {"sampler": spec.sampler, "trial": spec.trial,
+                                        "moves": spec.moves, "stride": spec.stride}})
+            traces[spec.sampler].append(analysis.EnergyTrace(
+                record.energies, {"cost_per_sample": cost_per_sample, "path": path}))
+            records[spec.sampler].append(record)
 
     summary = {
         "preset": config.preset,
@@ -319,28 +248,16 @@ def run_config(config: ExperimentConfig, out_dir=".", workers=1,
         "samplers": {},
     }
     curves = {}
-    for sampler in ("im", "metropolis"):
+    for sampler in SAMPLERS:
         group = traces[sampler]
-        max_lag_eff = min(config.max_lag, min(len(t) for t in group) - 2)
-        per_trial = [analysis.acf(t, max_lag_eff) for t in group]
-        if len(per_trial) >= 2:
-            curve = analysis.average_acf(per_trial, lag_unit=1.0, label=sampler)
-        else:
-            curve = analysis.AcfCurve(
-                lags=np.arange(max_lag_eff + 1, dtype=np.float64),
-                mean=per_trial[0],
-                variance=np.zeros(max_lag_eff + 1),
-                num_trials=1,
-                lag_unit=1.0,
-                label=sampler,
-            )
+        curve, per_trial = analysis.trial_acf(group, config.max_lag, 1.0, sampler)
         curves[sampler] = curve
         acf_path = f"acf_{sampler}.csv"
         analysis.write_acf_csv(curve, os.path.join(out_dir, acf_path))
         produced.append({"path": acf_path, "kind": "acf",
                          "params": {"sampler": sampler,
                                     "trials": config.trials,
-                                    "max_lag": max_lag_eff}})
+                                    "max_lag": len(curve.lags) - 1}})
         taus = [analysis.integrated_time(c) for c in per_trial]
         final_quarter = [
             float(np.mean(t.energies[3 * len(t) // 4 :])) for t in group

@@ -136,7 +136,6 @@ class ImSampler:
                     f"{state.distance} of {model.num_vars} variables"
                 )
         self.engine = make_engine(model, state, params.gamma, config.engine)
-        self.moves = 0
         self.accepts = 0
 
     @property
@@ -160,7 +159,6 @@ class ImSampler:
         accepted = rng.random() < math.exp(log_alpha)
         if not accepted:
             engine.restore(saved)
-        self.moves += 1
         self.accepts += accepted
         if self.debug and state.distance != self.shell_distance:
             raise CoherenceError(
@@ -196,7 +194,6 @@ class MetropolisSampler:
         self.rng = rng if rng is not None else np.random.default_rng(config.seed)
         self.debug = debug
         self.shell_distance = n
-        self.moves = 0
         self.accepts = 0
         self.evals = 0
 
@@ -231,7 +228,6 @@ class MetropolisSampler:
         if accepted:
             state.flip(i)
             state.flip(j)
-        self.moves += 1
         self.accepts += accepted
         if self.debug and state.distance != self.shell_distance:
             raise CoherenceError(
@@ -291,6 +287,72 @@ def run_chain(model, init: ShellState, sampler: str, num_moves, record_stride=1,
         evals_per_move=(driver.evals - evals_before) / num_moves,
         meta={"sampler": sampler, "beta": config.beta},
     )
+
+
+@dataclass(frozen=True)
+class ChainSpec:
+    """One recorded chain: its sampler settings, run length and random stream.
+
+    ``chain_index`` selects the chain's stream under ``seed`` (see
+    ``chain_rng``); the start state and every move draw from that stream.
+    """
+
+    sampler: str
+    beta: float
+    gamma: float
+    k_min: int
+    k_max: int
+    order: str
+    engine: str
+    shell_distance: int
+    moves: int
+    stride: int
+    burn_in: int
+    seed: int
+    trial: int
+    chain_index: int
+
+    def run(self, model, debug=False):
+        """Draw a uniform start state on the shell and run the chain."""
+        constraint = ShellConstraint(tuple([0] * model.num_vars), self.shell_distance)
+        rng = chain_rng(self.seed, self.chain_index)
+        init = random_shell_state(model, constraint, rng, audit=debug)
+        if self.sampler == "im":
+            config = ImConfig(
+                beta=self.beta,
+                saw=SawParams(gamma=self.gamma, k_min=self.k_min,
+                              k_max=self.k_max, order_policy=self.order),
+                seed=self.seed,
+                engine=self.engine,
+            )
+        else:
+            config = MetropolisConfig(beta=self.beta, seed=self.seed)
+        return run_chain(
+            model, init, self.sampler, self.moves, record_stride=self.stride,
+            config=config, rng=rng, burn_in=self.burn_in, debug=debug,
+        )
+
+    def trace_meta(self, record: ChainRecord, model_path, cost_per_sample):
+        """The trace header of this chain's ``record``."""
+        return {
+            "model": model_path,
+            "sampler": self.sampler,
+            "beta": self.beta,
+            "gamma": self.gamma,
+            "seed": self.seed,
+            "moves": self.moves,
+            "stride": self.stride,
+            "trial": self.trial,
+            "burn_in": self.burn_in,
+            "n": self.shell_distance,
+            "k_min": self.k_min,
+            "k_max": self.k_max,
+            "order": self.order,
+            "engine": self.engine if self.sampler == "im" else "-",
+            "evals_per_move": record.evals_per_move,
+            "cost_per_sample": cost_per_sample,
+            "acceptance_rate": record.acceptance_rate,
+        }
 
 
 TRACE_META_ORDER = (

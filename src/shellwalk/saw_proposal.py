@@ -114,13 +114,13 @@ def feasible_k_max(distance, num_vars, order):
     raise ValueError(f"unknown order {order!r}")
 
 
-def choose_engine_kind(model, gamma, kind="auto", dense_fraction=DENSE_DEGREE_FRACTION):
+def choose_engine_kind(model, gamma, kind="auto"):
     """Pick the candidate-weight engine.
 
     The sum-tree engine wins for sparse models; a dense model (average degree
-    above ``dense_fraction * num_vars``) is cheaper to rescan per step. Models
-    whose worst-case |gamma * deltaE| could overflow exp() also fall back to
-    the scanning engine, which shifts exponents per step.
+    above ``DENSE_DEGREE_FRACTION * num_vars``) is cheaper to rescan per
+    step. Models whose worst-case |gamma * deltaE| could overflow exp() also
+    fall back to the scanning engine, which shifts exponents per step.
     """
     if kind in ("tree", "scan"):
         return kind
@@ -128,15 +128,15 @@ def choose_engine_kind(model, gamma, kind="auto", dense_fraction=DENSE_DEGREE_FR
         raise ValueError(f"engine must be 'auto', 'tree', or 'scan', got {kind!r}")
     if model.num_vars == 0:
         return "scan"
-    if model.average_degree > max(dense_fraction * model.num_vars, MIN_DENSE_DEGREE):
+    if model.average_degree > max(DENSE_DEGREE_FRACTION * model.num_vars, MIN_DENSE_DEGREE):
         return "scan"
     if 0.5 * gamma * model.max_flip_delta() > MAX_SAFE_EXPONENT:
         return "scan"
     return "tree"
 
 
-def make_engine(model, state, gamma, kind="auto", dense_fraction=DENSE_DEGREE_FRACTION):
-    resolved = choose_engine_kind(model, gamma, kind, dense_fraction)
+def make_engine(model, state, gamma, kind="auto"):
+    resolved = choose_engine_kind(model, gamma, kind)
     if resolved == "tree":
         return TreeWalkEngine(model, state, gamma)
     return ScanWalkEngine(model, state, gamma)

@@ -18,6 +18,7 @@ from shellwalk.analysis import (
     integrated_time,
     load_trace,
     subsample,
+    trial_acf,
     write_acf_csv,
 )
 from shellwalk.errors import DegenerateTraceError
@@ -108,9 +109,32 @@ class TestAverageAcf:
         expected = 0.9 ** np.arange(11)
         assert np.max(np.abs(curve.mean - expected)) < 0.02
 
-    def test_requires_two_trials(self):
+    def test_single_trial_is_its_own_curve(self):
+        rho = np.array([1.0, 0.5, 0.2])
+        curve = average_acf([rho], lag_unit=3.0)
+        assert curve.mean.tobytes() == rho.tobytes()
+        assert curve.variance.tobytes() == np.zeros(3).tobytes()
+        assert curve.lags.tobytes() == (np.arange(3.0) * 3.0).tobytes()
+        assert curve.num_trials == 1
         with pytest.raises(ValueError):
-            average_acf([np.array([1.0, 0.5])])
+            average_acf([])
+
+
+class TestTrialAcf:
+    def test_lag_is_capped_by_the_shortest_trace(self):
+        rng = np.random.default_rng(1)
+        short = EnergyTrace(rng.standard_normal(12))
+        long = EnergyTrace(rng.standard_normal(500))
+        curve, per_trial = trial_acf([long, short], 100, lag_unit=2.0, label="x")
+        assert [len(c) for c in per_trial] == [11, 11]
+        assert curve.lags[-1] == 20.0
+        assert curve.label == "x"
+        assert np.array_equal(curve.mean, (per_trial[0] + per_trial[1]) / 2)
+
+    def test_degenerate_trace_names_its_path(self):
+        flat = EnergyTrace(np.full(20, 3.0), {"path": "flat.csv"})
+        with pytest.raises(DegenerateTraceError, match="flat.csv"):
+            trial_acf([flat], 5)
 
 
 class TestIntegratedTime:

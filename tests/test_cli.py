@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -55,6 +56,20 @@ def small_model(tmp_path):
     return path
 
 
+# sha256 of every trace file written by the two sample runs of
+# test_trace_files_are_pinned
+SAMPLE_TRACE_DIGESTS = {
+    "trace_im_000.csv":
+        "44126f6a1df9498ded6449ae5ff20a8b2a718e73ab7dc5ae3734af438ddebc75",
+    "trace_im_001.csv":
+        "2dd5e474021eb647695d38cc3044f0cdb4c25028d53ae1ee567ded6108d83419",
+    "trace_metropolis_000.csv":
+        "026f5168dcf69c0c7f99485fbc9ee4fe9f476f752ac3ef259c03aa09f64c19b3",
+    "trace_metropolis_001.csv":
+        "77bd55f82af7dd021fbac2447697aa58bc954c4ae4a2c544cae3ad79f114a7b4",
+}
+
+
 class TestSample:
     def test_writes_traces_and_manifest(self, small_model, tmp_path):
         out = tmp_path / "runs"
@@ -90,6 +105,23 @@ class TestSample:
         assert run_cli("sample", "--model", small_model, "--sampler", "im",
                        "--beta", 0.4, "--n", 10, "--moves", 10,
                        "--out", tmp_path / "o") == 1
+
+    def test_trace_files_are_pinned(self, small_model, tmp_path, monkeypatch):
+        # whole files, header included; the relative model path keeps the
+        # header free of the temporary directory
+        monkeypatch.chdir(tmp_path)
+        run_cli("sample", "--model", "model.json", "--sampler", "im",
+                "--beta", 0.44, "--gamma", 0.4405, "--k-min", 1, "--k-max", 3,
+                "--n", 4, "--moves", 300, "--trials", 2, "--seed", 11,
+                "--out", "runs")
+        run_cli("sample", "--model", "model.json", "--sampler", "metropolis",
+                "--beta", 0.5, "--n", 4, "--moves", 2000, "--stride", 10,
+                "--trials", 2, "--seed", 3, "--out", "runs")
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (tmp_path / "runs").glob("trace_*.csv")
+        }
+        assert digests == SAMPLE_TRACE_DIGESTS
 
     def test_missing_model_file(self, tmp_path):
         assert run_cli("sample", "--model", tmp_path / "nope.json",
@@ -188,3 +220,17 @@ class TestExperiment:
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["seed"] == 123
+
+
+@pytest.mark.parametrize("command", ["sample", "experiment"])
+@pytest.mark.parametrize("fraction", ["-0.5", "inf"])
+def test_bad_burn_in_fraction(small_model, tmp_path, command, fraction):
+    if command == "sample":
+        args = ("sample", "--model", small_model, "--sampler", "im",
+                "--beta", 0.4, "--n", 4, "--moves", 200)
+    else:
+        args = ("experiment", "glass3d", "--trials", 1, "--im-moves", 50,
+                "--workers", 1)
+    assert run_cli(*args, "--burn-in-fraction", fraction,
+                   "--out", tmp_path / "o") == 1
+    assert not list(tmp_path.rglob("trace_*.csv"))

@@ -77,11 +77,21 @@ def digest_directory(root):
     return out
 
 
-# sha256 of the step,energy,accepted,k rows of the walk trace of one desk
-# trial of 400 moves at seed 4; pins the walk sampler's trajectory
-TRACE_ROW_DIGESTS = {
-    "ferro2d": "fae0b1f4287fb634723d751a833051fc626924d24236d5ac4ee84be82376bdcb",
-    "glass3d": "79b47c01a9e43e69d2b491bb30c58d3ad92dcf30c042bebdf4518f4487cd2777",
+# sha256 of the whole trace files (header and rows) of one desk trial of 400
+# walk moves at seed 4; pins both samplers' trajectories and trace headers
+TRACE_FILE_DIGESTS = {
+    "ferro2d": {
+        "trace_im_000.csv":
+            "74204a13fd968b245b04054ff53b8da5aa86a8fc6caba460aac59b7ebb04e286",
+        "trace_metropolis_000.csv":
+            "a9778129f5be9399524fae5e0151a2e3a6b7c123e9adc79bd17edacc81fd4300",
+    },
+    "glass3d": {
+        "trace_im_000.csv":
+            "4c65b2716b52997cada234e1a29dbbeb5d7c80af666718cdfbed797d667b12d9",
+        "trace_metropolis_000.csv":
+            "12fd9fae649f9b431bedf2d1c225f32e87b86fa3e09c0681b8fd231614fa8644",
+    },
 }
 
 
@@ -110,13 +120,13 @@ class TestRunExperiment:
             assert 0.0 <= stats["acceptance_rate_mean"] <= 1.0
         assert summary["tau_ratio_met_over_im"] > 0
 
-    @pytest.mark.parametrize("preset", sorted(TRACE_ROW_DIGESTS))
-    def test_walk_trace_rows_are_pinned(self, tmp_path, preset):
+    @pytest.mark.parametrize("preset", sorted(TRACE_FILE_DIGESTS))
+    def test_trace_files_are_pinned(self, tmp_path, preset):
         run_experiment(preset, scale="desk", out_dir=tmp_path, trials=1, seed=4,
                        im_moves=400)
-        text = (tmp_path / "trace_im_000.csv").read_text(encoding="utf-8")
-        rows = text.split("step,energy,accepted,k\n", 1)[1]
-        assert hashlib.sha256(rows.encode()).hexdigest() == TRACE_ROW_DIGESTS[preset]
+        digests = digest_directory(tmp_path)
+        for name, digest in TRACE_FILE_DIGESTS[preset].items():
+            assert digests[name] == digest, name
 
     def test_rerun_is_byte_identical(self, tmp_path):
         kwargs = dict(scale="desk", trials=2, seed=9, im_moves=100, max_lag=15)
