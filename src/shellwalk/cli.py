@@ -151,7 +151,7 @@ def cmd_sample(args):
             trial=trial,
             chain_index=trial,
         )
-        record = spec.run(model, debug=args.debug)
+        record = spec.run(model, audit=args.debug)
         meta = spec.trace_meta(record, args.model, record.evals_per_move * args.stride)
         name = f"trace_{args.sampler}_{trial:03d}.csv"
         write_trace_csv(record, os.path.join(args.out, name), meta)

@@ -13,6 +13,7 @@ either sampler stands for the same amount of compute.
 from __future__ import annotations
 
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
@@ -69,6 +70,10 @@ def preset_config(preset, scale, seed=0, trials=10, im_moves=None,
         raise ConfigurationError(f"unknown scale {scale!r}; choose from {SCALES}")
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
+    if not (math.isfinite(burn_in_fraction) and burn_in_fraction >= 0.0):
+        raise ConfigurationError(
+            f"burn_in_fraction must be finite and >= 0, got {burn_in_fraction}"
+        )
     paper = scale == "paper"
     if preset == "ferro2d":
         side = 60 if paper else 16
@@ -178,8 +183,8 @@ def chain_specs(config: ExperimentConfig):
 
 
 def run_trial(config: ExperimentConfig, spec: ChainSpec):
-    """Run one chain of ``config``. A pool worker rebuilds the model from the
-    preset, which costs less than pickling and parsing its document."""
+    """Run one chain of ``config`` in a pool worker, which rebuilds the model
+    from the preset; that costs less than pickling and parsing its document."""
     return spec.run(build_model(config))
 
 
@@ -213,7 +218,8 @@ def run_config(config: ExperimentConfig, out_dir=".", workers=1,
     summary dict and writes the same files as ``run_experiment``.
     """
     os.makedirs(out_dir, exist_ok=True)
-    save_model(build_model(config), os.path.join(out_dir, "model.json"))
+    model = build_model(config)
+    save_model(model, os.path.join(out_dir, "model.json"))
     produced = [{"path": "model.json", "kind": "model",
                  "params": {"generator": config.generator, **config.generator_args}}]
 
@@ -223,10 +229,11 @@ def run_config(config: ExperimentConfig, out_dir=".", workers=1,
     records = {sampler: [] for sampler in SAMPLERS}
     specs = chain_specs(config)
     with ExitStack() as stack:
-        chains = map
+        chains = (spec.run(model) for spec in specs)
         if workers > 1:
-            chains = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
-        for spec, record in zip(specs, chains(partial(run_trial, config), specs)):
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            chains = pool.map(partial(run_trial, config), specs)
+        for spec, record in zip(specs, chains):
             if progress:
                 progress(spec)
             name = f"trace_{spec.sampler}_{spec.trial:03d}.csv"

@@ -1,4 +1,7 @@
-"""Binary pairwise models, shell-constrained states, and per-bit bookkeeping."""
+"""Binary pairwise models, shell-constrained states, and per-bit bookkeeping.
+
+A ``ShellState`` keeps +/-1 spins and exposes the {0,1} ``bits`` on demand.
+"""
 
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ class IsingModel:
 
     Energies are evaluated in the +/-1 spin convention,
     ``E(s) = -sum_(i,j) J_ij*s_i*s_j - sum_i h_i*s_i`` with ``s_i = 2*x_i - 1``,
-    while configurations are stored as {0,1} bits throughout the library.
+    while configurations are passed in and out as {0,1} bits.
 
     Instances are immutable after construction and safe to share across
     concurrently running chains.
@@ -52,7 +55,7 @@ class IsingModel:
             )
         for i, h in enumerate(fields):
             if not math.isfinite(h):
-                raise ValueError(f"field {i} is not finite: {h}")
+                raise ValueError(f"fields[{i}] is not finite: {h}")
         self.fields = fields
 
         normalized = []
@@ -72,7 +75,7 @@ class IsingModel:
         normalized.sort(key=lambda e: (e[0], e[1]))
         for a, b in zip(normalized, normalized[1:]):
             if a[0] == b[0] and a[1] == b[1]:
-                raise ValueError(f"duplicate edge ({a[0]}, {a[1]})")
+                raise ValueError(f"edge ({a[0]}, {a[1]}) duplicates another edge")
         self.edges = tuple(normalized)
 
         adj = [[] for _ in range(self.num_vars)]
@@ -154,7 +157,8 @@ class IsingModel:
 
     @classmethod
     def from_dict(cls, data):
-        """Build a model from the JSON object form, rejecting malformed input."""
+        """Build a model from the JSON object form, rejecting malformed input:
+        shape and types are checked here, values by the constructor."""
         if not isinstance(data, dict):
             raise ModelFormatError("model document must be a JSON object")
         for key in ("num_vars", "edges", "fields"):
@@ -166,36 +170,29 @@ class IsingModel:
         edges = data["edges"]
         if not isinstance(edges, list):
             raise ModelFormatError("edges must be an array")
-        seen = set()
         for row, entry in enumerate(edges):
             if not (isinstance(entry, list) and len(entry) == 3):
                 raise ModelFormatError(f"edges[{row}] must be [i, j, J]")
             i, j, coupling = entry
             if not isinstance(i, int) or not isinstance(j, int):
                 raise ModelFormatError(f"edges[{row}] endpoints must be integers")
-            if i == j:
-                raise ModelFormatError(f"edges[{row}] is a self-loop: ({i}, {j})")
-            if not i < j:
+            if i > j:
                 raise ModelFormatError(f"edges[{row}] must have i < j, got ({i}, {j})")
-            if not (0 <= i and j < num_vars):
-                raise ModelFormatError(
-                    f"edges[{row}] ({i}, {j}) out of range [0, {num_vars})"
-                )
-            if (i, j) in seen:
-                raise ModelFormatError(f"edges[{row}] duplicates edge ({i}, {j})")
-            seen.add((i, j))
-            if not isinstance(coupling, (int, float)) or not math.isfinite(coupling):
-                raise ModelFormatError(f"edges[{row}] coupling must be a finite number")
+            if not isinstance(coupling, (int, float)):
+                raise ModelFormatError(f"edges[{row}] coupling must be a number")
         fields = data["fields"]
         if not isinstance(fields, list) or len(fields) != num_vars:
             raise ModelFormatError(f"fields must be an array of {num_vars} numbers")
         for i, h in enumerate(fields):
-            if not isinstance(h, (int, float)) or not math.isfinite(h):
-                raise ModelFormatError(f"fields[{i}] must be a finite number")
+            if not isinstance(h, (int, float)):
+                raise ModelFormatError(f"fields[{i}] must be a number")
         meta = data.get("meta")
         if meta is not None and not isinstance(meta, dict):
             raise ModelFormatError("meta must be an object when present")
-        return cls(num_vars, [tuple(e) for e in edges], fields, meta)
+        try:
+            return cls(num_vars, edges, fields, meta)
+        except ValueError as exc:
+            raise ModelFormatError(str(exc)) from exc
 
 
 def partition_sets(bits, reference):
@@ -235,14 +232,15 @@ class ShellConstraint:
 
 
 class ShellState:
-    """A {0,1} configuration with cached energy, Hamming distance to a
-    reference state, and the agree/disagree index partition.
+    """A configuration, kept once as +/-1 ``spins``, with cached energy,
+    Hamming distance to a reference state, and the agree/disagree partition.
 
     The partition is kept as a permutation of all indices with the disagreeing
     ones in the first ``distance`` slots, which gives O(1) membership tests and
     O(1) transfers between the two sets on every flip. The cached energy is
     refreshed from scratch every ``ENERGY_REFRESH_INTERVAL`` flips; with
-    ``audit=True`` the refresh also asserts coherence of the cache.
+    ``audit=True`` the refresh also asserts coherence of the cache, and the
+    samplers check after every move that the state kept its shell.
 
     Each instance is exclusively owned by one chain; the referenced model is
     immutable and may be shared.
@@ -250,7 +248,6 @@ class ShellState:
 
     __slots__ = (
         "model",
-        "bits",
         "spins",
         "reference",
         "distance",
@@ -268,19 +265,19 @@ class ShellState:
         if len(reference) != m:
             raise ValueError(f"reference has length {len(reference)}, expected {m}")
         self.model = model
-        self.bits = [int(b) for b in bits]
-        if any(b not in (0, 1) for b in self.bits):
+        bits = [int(b) for b in bits]
+        if any(b not in (0, 1) for b in bits):
             raise ValueError("bits must be a {0,1} vector")
-        self.spins = [2.0 * b - 1.0 for b in self.bits]
+        self.spins = [2.0 * b - 1.0 for b in bits]
         self.reference = tuple(int(r) for r in reference)
-        disagree = [i for i in range(m) if self.bits[i] != self.reference[i]]
-        agree = [i for i in range(m) if self.bits[i] == self.reference[i]]
+        disagree = [i for i in range(m) if bits[i] != self.reference[i]]
+        agree = [i for i in range(m) if bits[i] == self.reference[i]]
         self._members = disagree + agree
         self._pos = [0] * m
         for pos, i in enumerate(self._members):
             self._pos[i] = pos
         self.distance = len(disagree)
-        self.energy = model.energy(self.bits)
+        self.energy = model.energy(bits)
         self._flips = 0
         self.audit = audit
 
@@ -297,7 +294,6 @@ class ShellState:
     def copy(self):
         new = object.__new__(ShellState)
         new.model = self.model
-        new.bits = list(self.bits)
         new.spins = list(self.spins)
         new.reference = self.reference
         new.distance = self.distance
@@ -309,13 +305,19 @@ class ShellState:
         return new
 
     @property
+    def bits(self):
+        """The {0,1} configuration; each call builds a new list, so per-flip
+        and per-move code reads ``spins`` instead."""
+        return [1 if s > 0.0 else 0 for s in self.spins]
+
+    @property
     def num_vars(self):
-        return len(self.bits)
+        return len(self.spins)
 
     def delta_energy(self, i):
         """Energy change if bit ``i`` were flipped; O(degree(i))."""
-        if not 0 <= i < len(self.bits):
-            raise IndexError(f"index {i} out of range [0, {len(self.bits)})")
+        if not 0 <= i < len(self.spins):
+            raise IndexError(f"index {i} out of range [0, {len(self.spins)})")
         spins = self.spins
         acc = self.model.fields[i]
         for j, coupling in self.model.adjacency[i]:
@@ -331,7 +333,6 @@ class ShellState:
         if delta is None:
             delta = self.delta_energy(i)
         self.energy += delta
-        self.bits[i] ^= 1
         self.spins[i] = -self.spins[i]
         pos = self._pos[i]
         d = self.distance
@@ -355,12 +356,12 @@ class ShellState:
 
     def checkpoint(self):
         """Copies of everything a flip changes, for ``restore``."""
-        return (list(self.bits), list(self.spins), list(self._members),
-                list(self._pos), self.distance, self.energy)
+        return (list(self.spins), list(self._members), list(self._pos),
+                self.distance, self.energy)
 
     def restore(self, saved):
         """Return in place to a ``checkpoint``; the lists stay the same objects."""
-        (self.bits[:], self.spins[:], self._members[:], self._pos[:],
+        (self.spins[:], self._members[:], self._pos[:],
          self.distance, self.energy) = saved
 
     def _refresh_energy(self):
@@ -384,7 +385,7 @@ class ShellState:
         return self._members[position]
 
     def agree_at(self, position):
-        if not 0 <= position < len(self.bits) - self.distance:
+        if not 0 <= position < len(self.spins) - self.distance:
             raise IndexError(f"no agreeing slot {position}")
         return self._members[self.distance + position]
 

@@ -65,12 +65,8 @@ class ExactShell:
 
     states: tuple
     probabilities: np.ndarray
-    z: float
     log_z: float
     index: dict
-
-    def prob_of(self, bits):
-        return float(self.probabilities[self.index[bits_key(bits)]])
 
 
 def exact_distribution(model: IsingModel, beta, states):
@@ -82,12 +78,10 @@ def exact_distribution(model: IsingModel, beta, states):
     total = float(weights.sum())
     probs = weights / total
     log_z = top + math.log(total)
-    z = math.exp(log_z) if log_z < 700.0 else math.inf
     index = {bits_key(s): row for row, s in enumerate(states)}
     return ExactShell(
         states=tuple(states),
         probabilities=probs,
-        z=z,
         log_z=log_z,
         index=index,
     )

@@ -11,11 +11,9 @@ import numpy as np
 from .errors import CoherenceError, ConfigurationError
 from .model import IsingModel, ShellConstraint, ShellState
 from .saw_proposal import (
-    ORDER_DOWN_UP,
-    ORDER_UP_DOWN,
     SawParams,
+    check_walk_lengths,
     draw_move_shape,
-    feasible_k_max,
     make_engine,
     run_walks,
 )
@@ -108,34 +106,21 @@ class ImSampler:
     The move is accepted with probability
     ``min(1, exp(-beta*(E1 - E0)) * f_rev / f_fwd)``; the shell normalizer
     cancels in the ratio and is never computed. A rejected move restores the
-    engine's pre-move checkpoint instead of walking the flips back.
+    engine's pre-move checkpoint instead of walking the flips back. With an
+    audited state every move checks that the state kept its shell.
     """
 
     name = "im"
 
     def __init__(self, model: IsingModel, state: ShellState, config: ImConfig,
-                 rng=None, debug=False):
+                 rng=None):
         self.model = model
         self.state = state
         self.config = config
         self.rng = rng if rng is not None else np.random.default_rng(config.seed)
-        self.debug = debug
         self.shell_distance = state.distance
-        params = config.saw
-        orders = (
-            (ORDER_UP_DOWN, ORDER_DOWN_UP)
-            if params.order_policy == "random"
-            else (params.order_policy,)
-        )
-        for order in orders:
-            limit = feasible_k_max(state.distance, model.num_vars, order)
-            if params.k_min > limit:
-                raise ConfigurationError(
-                    f"k_min={params.k_min} exceeds the feasible walk length "
-                    f"{limit} for order {order!r} at shell distance "
-                    f"{state.distance} of {model.num_vars} variables"
-                )
-        self.engine = make_engine(model, state, params.gamma, config.engine)
+        check_walk_lengths(config.saw, state.distance, model.num_vars)
+        self.engine = make_engine(model, state, config.saw.gamma, config.engine)
         self.accepts = 0
 
     @property
@@ -160,7 +145,7 @@ class ImSampler:
         if not accepted:
             engine.restore(saved)
         self.accepts += accepted
-        if self.debug and state.distance != self.shell_distance:
+        if state.audit and state.distance != self.shell_distance:
             raise CoherenceError(
                 f"sampler left the shell: distance {state.distance} != "
                 f"{self.shell_distance}"
@@ -175,13 +160,15 @@ class MetropolisSampler:
     both, and accepts with min(1, exp(-beta * deltaE)). The energy change is
     evaluated exactly, including the coupling correction when the two bits are
     graph neighbors. Random stream order per move: disagree pick, agree pick,
-    accept uniform.
+    accept uniform. An accepted swap hands each bit's energy change to
+    ``ShellState.flip``, except the second bit's when the two are neighbors,
+    since the first flip changes its field.
     """
 
     name = "metropolis"
 
     def __init__(self, model: IsingModel, state: ShellState,
-                 config: MetropolisConfig, rng=None, debug=False):
+                 config: MetropolisConfig, rng=None):
         n = state.distance
         if n == 0 or n == model.num_vars:
             raise ConfigurationError(
@@ -192,7 +179,6 @@ class MetropolisSampler:
         self.state = state
         self.config = config
         self.rng = rng if rng is not None else np.random.default_rng(config.seed)
-        self.debug = debug
         self.shell_distance = n
         self.accepts = 0
         self.evals = 0
@@ -208,28 +194,28 @@ class MetropolisSampler:
         spins = state.spins
         acc_i = model.fields[i]
         coupling_ij = 0.0
+        adjacent = False
         for nb, coupling in model.adjacency[i]:
             acc_i += coupling * spins[nb]
             if nb == j:
                 coupling_ij = coupling
+                adjacent = True
         acc_j = model.fields[j]
         for nb, coupling in model.adjacency[j]:
             acc_j += coupling * spins[nb]
-        delta = (
-            2.0 * spins[i] * acc_i
-            + 2.0 * spins[j] * acc_j
-            - 4.0 * spins[i] * spins[j] * coupling_ij
-        )
+        delta_i = 2.0 * spins[i] * acc_i
+        delta_j = 2.0 * spins[j] * acc_j
+        delta = delta_i + delta_j - 4.0 * spins[i] * spins[j] * coupling_ij
         self.evals += 2
         log_alpha = -self.config.beta * delta
         if log_alpha > 0.0:
             log_alpha = 0.0
         accepted = rng.random() < math.exp(log_alpha)
         if accepted:
-            state.flip(i)
-            state.flip(j)
+            state.flip(i, delta_i)
+            state.flip(j, None if adjacent else delta_j)
         self.accepts += accepted
-        if self.debug and state.distance != self.shell_distance:
+        if state.audit and state.distance != self.shell_distance:
             raise CoherenceError(
                 f"sampler left the shell: distance {state.distance} != "
                 f"{self.shell_distance}"
@@ -237,20 +223,20 @@ class MetropolisSampler:
         return accepted, (i, j)
 
 
-def make_sampler(model, state, sampler, config, rng=None, debug=False):
+def make_sampler(model, state, sampler, config, rng=None):
     if sampler == "im":
         if not isinstance(config, ImConfig):
             raise ConfigurationError("sampler 'im' requires an ImConfig")
-        return ImSampler(model, state, config, rng=rng, debug=debug)
+        return ImSampler(model, state, config, rng=rng)
     if sampler == "metropolis":
         if not isinstance(config, MetropolisConfig):
             raise ConfigurationError("sampler 'metropolis' requires a MetropolisConfig")
-        return MetropolisSampler(model, state, config, rng=rng, debug=debug)
+        return MetropolisSampler(model, state, config, rng=rng)
     raise ConfigurationError(f"unknown sampler {sampler!r}")
 
 
 def run_chain(model, init: ShellState, sampler: str, num_moves, record_stride=1,
-              config=None, rng=None, burn_in=0, debug=False):
+              config=None, rng=None, burn_in=0):
     """Run one chain, recording energy every ``record_stride`` attempted moves.
 
     Burn-in moves run before recording starts and are not recorded. The
@@ -261,7 +247,7 @@ def run_chain(model, init: ShellState, sampler: str, num_moves, record_stride=1,
         raise ValueError(f"num_moves must be >= 1, got {num_moves}")
     if record_stride < 1:
         raise ValueError(f"record_stride must be >= 1, got {record_stride}")
-    driver = make_sampler(model, init, sampler, config, rng=rng, debug=debug)
+    driver = make_sampler(model, init, sampler, config, rng=rng)
     for _ in range(burn_in):
         driver.step()
     evals_before = driver.evals
@@ -312,11 +298,12 @@ class ChainSpec:
     trial: int
     chain_index: int
 
-    def run(self, model, debug=False):
-        """Draw a uniform start state on the shell and run the chain."""
+    def run(self, model, audit=False):
+        """Draw a uniform start state on the shell and run the chain;
+        ``audit`` turns on the state's coherence checks."""
         constraint = ShellConstraint(tuple([0] * model.num_vars), self.shell_distance)
         rng = chain_rng(self.seed, self.chain_index)
-        init = random_shell_state(model, constraint, rng, audit=debug)
+        init = random_shell_state(model, constraint, rng, audit=audit)
         if self.sampler == "im":
             config = ImConfig(
                 beta=self.beta,
@@ -329,7 +316,7 @@ class ChainSpec:
             config = MetropolisConfig(beta=self.beta, seed=self.seed)
         return run_chain(
             model, init, self.sampler, self.moves, record_stride=self.stride,
-            config=config, rng=rng, burn_in=self.burn_in, debug=debug,
+            config=config, rng=rng, burn_in=self.burn_in,
         )
 
     def trace_meta(self, record: ChainRecord, model_path, cost_per_sample):

@@ -114,6 +114,22 @@ def feasible_k_max(distance, num_vars, order):
     raise ValueError(f"unknown order {order!r}")
 
 
+def check_walk_lengths(params, distance, num_vars):
+    """Raise ``ConfigurationError`` unless ``k_min`` is feasible for every
+    order the policy can draw on this shell."""
+    orders = (ORDER_UP_DOWN, ORDER_DOWN_UP)
+    if params.order_policy != "random":
+        orders = (params.order_policy,)
+    for order in orders:
+        limit = feasible_k_max(distance, num_vars, order)
+        if params.k_min > limit:
+            raise ConfigurationError(
+                f"k_min={params.k_min} exceeds the feasible walk length "
+                f"{limit} for order {order!r} at shell distance "
+                f"{distance} of {num_vars} variables"
+            )
+
+
 def choose_engine_kind(model, gamma, kind="auto"):
     """Pick the candidate-weight engine.
 
@@ -356,12 +372,6 @@ class ScanWalkEngine:
         return (z_i - shift) - math.log(total)
 
 
-def _resolve_order(params, rng):
-    if params.order_policy == "random":
-        return ORDER_UP_DOWN if rng.random() < 0.5 else ORDER_DOWN_UP
-    return params.order_policy
-
-
 def draw_move_shape(params, rng, distance, num_vars):
     """Draw (k, order) for one move; k is clamped to the feasible range.
 
@@ -369,17 +379,13 @@ def draw_move_shape(params, rng, distance, num_vars):
     stream layout does not depend on parameter values; the random order policy
     consumes one extra uniform. The feasible range depends only on the shell,
     which is invariant along a chain, so the clamping cancels in the accept
-    ratio.
+    ratio. Callers check ``k_min`` once with ``check_walk_lengths``.
     """
     k_raw = int(rng.integers(params.k_min, params.k_max + 1))
-    order = _resolve_order(params, rng)
-    limit = feasible_k_max(distance, num_vars, order)
-    if params.k_min > limit:
-        raise ConfigurationError(
-            f"walk length k_min={params.k_min} infeasible for order {order!r} "
-            f"at shell distance {distance} of {num_vars} variables (max {limit})"
-        )
-    return min(k_raw, limit), order
+    order = params.order_policy
+    if order == "random":
+        order = ORDER_UP_DOWN if rng.random() < 0.5 else ORDER_DOWN_UP
+    return min(k_raw, feasible_k_max(distance, num_vars, order)), order
 
 
 def run_walks(engine, rng, k, order):
@@ -411,6 +417,7 @@ def propose(model, state, params, rng, engine="auto"):
     Draw order from ``rng``: walk length, then order (random policy only),
     then one uniform per walk step.
     """
+    check_walk_lengths(params, state.distance, model.num_vars)
     work = state.copy()
     eng = make_engine(model, work, params.gamma, engine)
     k, order = draw_move_shape(params, rng, work.distance, model.num_vars)

@@ -162,6 +162,7 @@ def test_empirical_kernel_match():
     )
 
 
+@pytest.mark.gate
 def test_mixing_improvement_ferro(tmp_path):
     """Critical ferromagnet at 32x32: walk sampler must mix >=1.5x faster.
 
@@ -212,6 +213,7 @@ def test_glass_energy_ordering(tmp_path):
     )
 
 
+@pytest.mark.gate
 def test_rbm_acf_drop(tmp_path):
     """Scaled filter model: walk ACF must fall below 0.1 at least 2x sooner.
 

@@ -69,6 +69,26 @@ SAMPLE_TRACE_DIGESTS = {
         "77bd55f82af7dd021fbac2447697aa58bc954c4ae4a2c544cae3ad79f114a7b4",
 }
 
+# the same for test_float_coupling_traces_are_pinned: couplings and fields
+# that are not integers, so a reordered floating-point sum changes the bytes
+FLOAT_TRACE_DIGESTS = {
+    "trace_im_000.csv":
+        "b683d989abfe0a5af7707b1cfaa9f2f93d2bb780ee2c8957061b8ce7f114d108",
+    "trace_im_001.csv":
+        "09dd49bd18d14a392e1d9114b7f4d1266f3c39f24d8316b5c13750d057eaaefd",
+    "trace_metropolis_000.csv":
+        "b1c52905050a5218213c43d3f38e9e48ee170dd62b3a551df0c02f68f8b66f30",
+    "trace_metropolis_001.csv":
+        "2c52a4699a796140d9d70ed075bcc102fd7882b152fa812eeb0a53ae47891c47",
+}
+
+
+def trace_digests(directory):
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in directory.glob("trace_*.csv")
+    }
+
 
 class TestSample:
     def test_writes_traces_and_manifest(self, small_model, tmp_path):
@@ -117,11 +137,31 @@ class TestSample:
         run_cli("sample", "--model", "model.json", "--sampler", "metropolis",
                 "--beta", 0.5, "--n", 4, "--moves", 2000, "--stride", 10,
                 "--trials", 2, "--seed", 3, "--out", "runs")
-        digests = {
-            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in (tmp_path / "runs").glob("trace_*.csv")
-        }
-        assert digests == SAMPLE_TRACE_DIGESTS
+        assert trace_digests(tmp_path / "runs") == SAMPLE_TRACE_DIGESTS
+
+    def test_float_coupling_traces_are_pinned(self, tmp_path, monkeypatch):
+        # audited chains; the Metropolis chains cross the periodic energy
+        # refresh several times
+        monkeypatch.chdir(tmp_path)
+        run_cli("gen", "grid2d", "--side", 4, "--coupling", 0.37,
+                "--field", 0.11, "--out", "model.json")
+        run_cli("sample", "--model", "model.json", "--sampler", "im",
+                "--beta", 0.5, "--gamma", 0.45, "--k-min", 1, "--k-max", 3,
+                "--order", "random", "--n", 6, "--moves", 400, "--trials", 2,
+                "--seed", 13, "--debug", "--out", "runs")
+        run_cli("sample", "--model", "model.json", "--sampler", "metropolis",
+                "--beta", 0.5, "--n", 6, "--moves", 40000, "--stride", 20,
+                "--trials", 2, "--seed", 7, "--debug", "--out", "runs")
+        assert trace_digests(tmp_path / "runs") == FLOAT_TRACE_DIGESTS
+
+    def test_bad_model_values_exit_code(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"num_vars": 2, "edges": [[0, 1, Infinity]], '
+                        '"fields": [0.0, 0.0]}', encoding="utf-8")
+        assert run_cli("sample", "--model", path, "--sampler", "im",
+                       "--beta", 0.4, "--n", 1, "--moves", 10,
+                       "--out", tmp_path / "o") == 3
+        assert not (tmp_path / "o").exists()
 
     def test_missing_model_file(self, tmp_path):
         assert run_cli("sample", "--model", tmp_path / "nope.json",

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from shellwalk import experiments
 from shellwalk.errors import ConfigurationError
 from shellwalk.experiments import build_model, preset_config, run_experiment
 
@@ -60,6 +61,15 @@ class TestPresetConfig:
             preset_config("nope", "desk")
         with pytest.raises(ConfigurationError):
             preset_config("ferro2d", "galactic")
+
+    @pytest.mark.parametrize("fraction", [-2, -0.5, float("inf"), float("nan")])
+    def test_bad_burn_in_fraction(self, tmp_path, fraction):
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(ConfigurationError, match="burn_in_fraction"):
+            run_experiment("glass3d", out_dir=out, trials=1, seed=1, im_moves=40,
+                           burn_in_fraction=fraction)
+        assert list(out.iterdir()) == []
 
     def test_build_model_counts(self):
         model = build_model(preset_config("glass3d", "desk"))
@@ -141,6 +151,18 @@ class TestRunExperiment:
         assert digest_directory(tmp_path / "serial") == digest_directory(
             tmp_path / "pooled"
         )
+
+    def test_serial_run_builds_the_model_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(config):
+            calls.append(config)
+            return build_model(config)
+
+        monkeypatch.setattr(experiments, "build_model", counted)
+        run_experiment("glass3d", out_dir=tmp_path / "out", workers=1,
+                       trials=2, seed=3, im_moves=40, max_lag=10)
+        assert len(calls) == 1
 
     def test_metropolis_gets_fair_ratio_moves(self, tmp_path):
         summary = run_experiment(

@@ -177,6 +177,18 @@ class TestModelFiles:
         with pytest.raises(ModelFormatError, match="fields\\[1\\]"):
             load_model(self._write(tmp_path, doc))
 
+    @pytest.mark.parametrize("doc", [
+        # value checks, made by the model constructor
+        {"num_vars": 2, "edges": [[0, 1, math.inf]], "fields": [0.0, 0.0]},
+        {"num_vars": 2, "edges": [], "fields": [0.0, math.nan]},
+        # type checks, made on the document
+        {"num_vars": 2, "edges": [[0, 1, "1.0"]], "fields": [0.0, 0.0]},
+        {"num_vars": 2, "edges": [[0.0, 1, 1.0]], "fields": [0.0, 0.0]},
+    ], ids=["infinite-coupling", "nan-field", "string-coupling", "float-endpoint"])
+    def test_rejects_bad_values_and_types(self, tmp_path, doc):
+        with pytest.raises(ModelFormatError):
+            load_model(self._write(tmp_path, doc))
+
     def test_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")

@@ -102,6 +102,17 @@ class TestFlip:
         state.flip(3)
         assert state.bits == [1, 1, 1, 0, 1, 0, 0]
 
+    def test_bits_are_derived_from_spins(self):
+        model = IsingModel(4, [(0, 1, 1.0)], [0.0] * 4)
+        state = ShellState(model, [1, 0, 0, 1], (0,) * 4)
+        assert "bits" not in ShellState.__slots__
+        assert state.spins == [1.0, -1.0, -1.0, 1.0]
+        bits = state.bits
+        assert bits == [1, 0, 0, 1] and bits is not state.bits
+        bits[0] = 0  # a caller's copy, not the state
+        assert state.bits == [1, 0, 0, 1]
+        assert len(state.checkpoint()) == 5
+
     @given(st.integers(0, 6), st.lists(st.integers(0, 1), min_size=7, max_size=7))
     @settings(max_examples=40, deadline=None)
     def test_involution(self, index, bits):

@@ -19,7 +19,7 @@ from shellwalk import (
     write_trace_csv,
 )
 from shellwalk.analysis import load_trace
-from shellwalk.errors import ConfigurationError
+from shellwalk.errors import CoherenceError, ConfigurationError
 from shellwalk.generators import cube3d_pm_j, grid2d
 from shellwalk.oracle import check_pathwise_db
 from shellwalk.saw_proposal import propose
@@ -67,9 +67,9 @@ class TestImSampler:
         model = grid2d(4, 1.0, 0.0)
         constraint = ShellConstraint((0,) * 16, 7)
         rng = chain_rng(5)
-        state = random_shell_state(model, constraint, rng)
+        state = random_shell_state(model, constraint, rng, audit=True)
         config = ImConfig(beta=0.6, saw=SawParams(gamma=0.3, k_min=1, k_max=4))
-        sampler = ImSampler(model, state, config, rng=rng, debug=True)
+        sampler = ImSampler(model, state, config, rng=rng)
         for _ in range(300):
             sampler.step()
         assert state.distance == 7
@@ -199,10 +199,10 @@ class TestMetropolisSampler:
 
     def test_swaps_one_bit_each_way(self):
         model = grid2d(3, 0.5, 0.1)
-        state = ShellState(model, [1, 1, 1, 0, 0, 0, 0, 0, 0], (0,) * 9)
+        state = ShellState(model, [1, 1, 1, 0, 0, 0, 0, 0, 0], (0,) * 9, audit=True)
         rng = chain_rng(3)
         sampler = MetropolisSampler(model, state, MetropolisConfig(beta=0.4),
-                                    rng=rng, debug=True)
+                                    rng=rng)
         for _ in range(200):
             accepted, (i, j) = sampler.step()
             assert i != j
@@ -223,6 +223,33 @@ class TestMetropolisSampler:
             model.energy(state.bits), abs=1e-9 * (1 + abs(state.energy))
         )
 
+    def test_accepted_swap_reuses_its_deltas(self, monkeypatch):
+        # only a swap of graph neighbors has the second bit's field changed
+        # by the first flip, so only it recomputes an energy change
+        model = grid2d(4, 0.37, 0.11)
+        rng = chain_rng(8)
+        state = random_shell_state(model, ShellConstraint((0,) * 16, 6), rng)
+        recomputed = []
+        original = ShellState.delta_energy
+
+        def counted(self, i):
+            recomputed.append(i)
+            return original(self, i)
+
+        monkeypatch.setattr(ShellState, "delta_energy", counted)
+        sampler = MetropolisSampler(model, state, MetropolisConfig(beta=0.5), rng=rng)
+        adjacent = 0
+        accepted_total = 0
+        for _ in range(3000):
+            accepted, (i, j) = sampler.step()
+            accepted_total += accepted
+            if accepted and any(nb == j for nb, _ in model.adjacency[i]):
+                adjacent += 1
+                assert recomputed[-1] == j
+        assert 0 < adjacent < accepted_total
+        assert len(recomputed) == adjacent
+        assert state.energy == pytest.approx(model.energy(state.bits), abs=1e-9)
+
     def test_empty_side_rejected(self):
         model = free_model(4)
         rng = chain_rng(0)
@@ -230,6 +257,26 @@ class TestMetropolisSampler:
             state = random_shell_state(model, ShellConstraint((0,) * 4, n), rng)
             with pytest.raises(ConfigurationError):
                 MetropolisSampler(model, state, MetropolisConfig(beta=1.0), rng=rng)
+
+
+@pytest.mark.parametrize("sampler", ["im", "metropolis"])
+def test_audited_state_checks_the_shell_every_move(sampler):
+    model = grid2d(3, 1.0, 0.1)
+    constraint = ShellConstraint((0,) * 9, 4)
+    for audit in (False, True):
+        rng = chain_rng(4)
+        state = random_shell_state(model, constraint, rng, audit=audit)
+        if sampler == "im":
+            config = ImConfig(beta=0.5, saw=SawParams(gamma=0.5, k_min=1, k_max=2))
+            driver = ImSampler(model, state, config, rng=rng)
+        else:
+            driver = MetropolisSampler(model, state, MetropolisConfig(beta=0.5), rng=rng)
+        driver.shell_distance = 3  # as if the state had left its shell
+        if audit:
+            with pytest.raises(CoherenceError, match="left the shell"):
+                driver.step()
+        else:
+            driver.step()
 
 
 class TestRandomShellState:
@@ -301,7 +348,7 @@ class TestRunChain:
         state = random_shell_state(model, constraint, rng, audit=True)
         config = MetropolisConfig(beta=0.3)
         record = run_chain(model, state, "metropolis", 40_000, record_stride=100,
-                           config=config, rng=rng, debug=True)
+                           config=config, rng=rng)
         assert state._flips > (1 << 14)
         assert state.energy == pytest.approx(model.energy(state.bits), abs=1e-9)
         assert len(record) == 400

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from shellwalk import IsingModel, ShellConstraint, ShellState
 from shellwalk.errors import CoherenceError, ConfigurationError
 from shellwalk.generators import grid2d, rbm_gabor
-from shellwalk.samplers import random_shell_state
+from shellwalk.samplers import ImConfig, ImSampler, random_shell_state
 from shellwalk.saw_proposal import (
     ORDER_DOWN_UP,
     ORDER_UP_DOWN,
     RESYNC_INTERVAL,
     SawParams,
     TreeWalkEngine,
+    check_walk_lengths,
     choose_engine_kind,
     feasible_k_max,
     path_log_prob,
@@ -337,6 +338,30 @@ class TestKDraw:
         rng = np.random.default_rng(0)
         with pytest.raises(ConfigurationError):
             propose(model, state, SawParams(gamma=0.2, k_min=3, k_max=5), rng)
+
+    def test_check_walk_lengths(self):
+        up_down = SawParams(gamma=0.2, k_min=2, k_max=4)
+        down_up = SawParams(gamma=0.2, k_min=4, k_max=4, order_policy=ORDER_DOWN_UP)
+        check_walk_lengths(up_down, 2, 6)
+        check_walk_lengths(down_up, 2, 6)
+        with pytest.raises(ConfigurationError, match="k_min=2"):
+            check_walk_lengths(up_down, 1, 6)
+        with pytest.raises(ConfigurationError, match="'down_up'"):
+            check_walk_lengths(down_up, 3, 6)
+
+    def test_random_order_needs_both_orders_feasible(self):
+        # at distance 5 of 6 bits, up_down allows k = 5 but down_up only 1,
+        # so every move, whichever order it would draw, is refused up front
+        model = chain_model(6)
+        state = ShellState(model, [1, 1, 1, 1, 1, 0], (0,) * 6)
+        params = SawParams(gamma=0.2, k_min=2, k_max=3, order_policy="random")
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            with pytest.raises(ConfigurationError, match="'down_up'"):
+                propose(model, state, params, rng)
+            with pytest.raises(ConfigurationError, match="'down_up'"):
+                ImSampler(model, state, ImConfig(beta=0.5, saw=params), rng=rng)
+        assert state.distance == 5
 
     def test_down_up_feasibility(self):
         assert feasible_k_max(2, 6, ORDER_UP_DOWN) == 2
