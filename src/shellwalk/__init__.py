@@ -14,7 +14,6 @@ from .analysis import (
     emit_svg,
     integrated_time,
     load_trace,
-    subsample,
     write_acf_csv,
 )
 from .errors import (

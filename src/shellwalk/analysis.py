@@ -1,8 +1,8 @@
-"""Energy-trace statistics: autocorrelation, compute-fair subsampling, plots.
+"""Energy-trace statistics: autocorrelation on a compute axis, plots.
 
 Comparing samplers with different per-move costs is only fair on a common
-compute axis, so traces carry a cost-per-recorded-sample and the overlay
-machinery subsamples the cheaper trace until both lag units agree.
+compute axis: each sampler's ACF stays on its own recorded grid, and its lag
+unit (its cost per sample over the dearest sampler's) scales the lags.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from xml.sax.saxutils import escape as _xml_escape
 
 import numpy as np
 
-from .errors import DegenerateTraceError
+from .errors import DegenerateTraceError, ModelFormatError
 
 # Curves whose compute-normalized lag units differ by more than this cannot
 # be overlaid on one axis.
@@ -25,12 +25,8 @@ BOOTSTRAP_SEED = 0
 
 @dataclass
 class EnergyTrace:
-    """A recorded energy series plus its provenance metadata.
-
-    ``meta['cost_per_sample']`` (when present) is the compute cost of one
-    recorded step in whatever unit the producer chose (candidate evaluations
-    by default); it defines the trace's lag unit for fair comparisons.
-    """
+    """A recorded energy series plus its provenance metadata (the trace
+    header's keys, and ``path`` for traces read from a file)."""
 
     energies: np.ndarray
     meta: dict = field(default_factory=dict)
@@ -41,18 +37,16 @@ class EnergyTrace:
     def __len__(self):
         return len(self.energies)
 
-    @property
-    def cost_per_sample(self):
-        return float(self.meta.get("cost_per_sample", 1.0))
-
 
 def load_trace(path):
-    """Read a trace CSV written by the samplers (# key=value, then rows)."""
+    """Read a trace CSV written by the samplers (# key=value, then rows); a
+    malformed header or row, or no rows at all, raise ``ModelFormatError``
+    naming the file and line."""
     meta = {}
     energies = []
     with open(path, encoding="utf-8") as handle:
         header_seen = False
-        for line in handle:
+        for number, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
@@ -64,13 +58,22 @@ def load_trace(path):
                 continue
             if not header_seen:
                 if line != "step,energy,accepted,k":
-                    raise ValueError(
-                        f"{path}: unexpected header {line!r}"
+                    raise ModelFormatError(
+                        f"{path}:{number}: unexpected header {line!r}"
                     )
                 header_seen = True
                 continue
             parts = line.split(",")
-            energies.append(float(parts[1]))
+            try:
+                energy = float(parts[1]) if len(parts) == 4 else math.nan
+            except ValueError:
+                energy = math.nan
+            if not math.isfinite(energy):
+                raise ModelFormatError(f"{path}:{number}: expected 4 fields "
+                                       f"with a finite energy, got {line!r}")
+            energies.append(energy)
+    if not energies:
+        raise ModelFormatError(f"{path}: no data rows")
     meta["path"] = str(path)
     for key in ("beta", "gamma", "evals_per_move", "cost_per_sample"):
         if key in meta:
@@ -78,8 +81,6 @@ def load_trace(path):
     for key in ("moves", "stride", "seed", "trial"):
         if key in meta:
             meta[key] = int(float(meta[key]))
-    if "cost_per_sample" not in meta and "evals_per_move" in meta:
-        meta["cost_per_sample"] = meta["evals_per_move"] * meta.get("stride", 1)
     return EnergyTrace(np.array(energies, dtype=np.float64), meta)
 
 
@@ -107,18 +108,6 @@ def acf(trace, max_lag):
     for t in range(1, max_lag + 1):
         out[t] = float(centered[: length - t] @ centered[t:]) / denom
     return out
-
-
-def subsample(trace: EnergyTrace, stride):
-    """Keep every ``stride``-th recorded sample, scaling the lag unit."""
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    if stride == 1:
-        return trace
-    meta = dict(trace.meta)
-    meta["cost_per_sample"] = trace.cost_per_sample * stride
-    meta["subsample"] = int(meta.get("subsample", 1)) * stride
-    return EnergyTrace(trace.energies[::stride].copy(), meta)
 
 
 @dataclass
@@ -201,13 +190,6 @@ def bootstrap_ratio_ci95(numerators, denominators):
     return float(low), float(high)
 
 
-def fair_stride(cost_expensive, cost_cheap):
-    """Samples of the cheap trace per sample of the expensive one."""
-    if cost_cheap <= 0 or cost_expensive <= 0:
-        raise ValueError("costs must be positive")
-    return max(1, round(cost_expensive / cost_cheap))
-
-
 def check_lag_units(curves, tolerance=LAG_UNIT_TOLERANCE):
     """Refuse overlays whose compute-normalized lag units disagree."""
     units = [c.lag_unit for c in curves]
@@ -215,8 +197,7 @@ def check_lag_units(curves, tolerance=LAG_UNIT_TOLERANCE):
     for unit in units[1:]:
         if abs(unit - reference) > tolerance * reference:
             raise ValueError(
-                f"lag units differ by more than {tolerance:.0%}: {units}; "
-                "subsample the cheaper trace to a common compute axis first"
+                f"lag units differ by more than {tolerance:.0%}: {units}"
             )
 
 

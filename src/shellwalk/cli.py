@@ -5,6 +5,10 @@ Subcommands: ``gen`` (model files), ``sample`` (chain traces), ``analyze``
 (full two-sampler preset runs). Exit codes: 0 success, 1 usage or
 configuration error, 2 verification failure, 3 I/O or file-format error.
 
+``analyze`` prices a recorded sample in Metropolis moves, from ``--fair-ratio``
+or the ``cost_per_sample`` of experiment trace headers, and scales each
+sampler's lags by its cost over the dearest sampler's; it never thins a trace.
+
 The master seed comes from ``--seed`` or the SHELLWALK_SEED environment
 variable; every command is deterministic given its flags and seed.
 """
@@ -152,7 +156,7 @@ def cmd_sample(args):
             chain_index=trial,
         )
         record = spec.run(model, audit=args.debug)
-        meta = spec.trace_meta(record, args.model, record.evals_per_move * args.stride)
+        meta = spec.trace_meta(record, args.model)
         name = f"trace_{args.sampler}_{trial:03d}.csv"
         write_trace_csv(record, os.path.join(args.out, name), meta)
         files.append({"path": name, "kind": "trace",
@@ -169,50 +173,63 @@ def cmd_sample(args):
     return EXIT_OK
 
 
+def _group_cost(sampler, traces, fair_ratio):
+    """Metropolis moves per recorded sample of one sampler's traces, from
+    ``--fair-ratio`` or else the headers; None when no header carries one."""
+    costs = {}
+    for trace in traces:
+        stride = trace.meta.get("stride", 1)
+        if fair_ratio is None:
+            cost = trace.meta.get("cost_per_sample")
+        else:
+            cost = float(fair_ratio * stride if sampler == "im" else stride)
+        costs.setdefault(cost, []).append(trace.meta["path"])
+    if len(costs) > 1:
+        listed = "; ".join(f"{cost} in {', '.join(paths)}"
+                           for cost, paths in costs.items())
+        raise ConfigurationError(
+            f"traces of {sampler!r} disagree on cost per sample: {listed}"
+        )
+    return next(iter(costs))
+
+
 def cmd_analyze(args):
     groups = {}
     for path in args.traces:
         trace = analysis.load_trace(path)
-        sampler = trace.meta.get("sampler", "unknown")
-        groups.setdefault(sampler, []).append(trace)
-    if not groups:
-        raise ConfigurationError("no trace files given")
+        groups.setdefault(trace.meta.get("sampler", "unknown"), []).append(trace)
+    costs = {sampler: _group_cost(sampler, traces, args.fair_ratio)
+             for sampler, traces in groups.items()}
+    # a lone sampler needs no price: its lags stay in recorded samples
+    units = dict.fromkeys(costs, 1.0)
+    if len(costs) > 1:
+        for sampler, cost in costs.items():
+            if cost is None:
+                raise ConfigurationError(
+                    f"{groups[sampler][0].meta['path']}: no cost_per_sample in "
+                    "the header; pass --fair-ratio to price the samplers"
+                )
+        reference = max(costs.values())
+        units = {sampler: cost / reference for sampler, cost in costs.items()}
     os.makedirs(args.out, exist_ok=True)
-
-    costs = {}
-    for sampler, traces in groups.items():
-        if args.fair_ratio is not None and sampler != "im":
-            # fixed ratio: one walk move costs fair_ratio baseline moves
-            costs[sampler] = float(traces[0].meta.get("stride", 1))
-        elif args.fair_ratio is not None:
-            costs[sampler] = float(args.fair_ratio) * float(
-                traces[0].meta.get("stride", 1)
-            )
-        else:
-            costs[sampler] = traces[0].cost_per_sample
-    reference_cost = max(costs.values())
 
     files = []
     curves = []
     for sampler, traces in sorted(groups.items()):
-        stride = analysis.fair_stride(reference_cost, costs[sampler])
-        resampled = [analysis.subsample(t, stride) for t in traces]
-        unit = costs[sampler] * stride / reference_cost
-        if min(len(t) for t in resampled) < 3:
-            raise ConfigurationError(
-                f"traces for {sampler!r} are too short after fair subsampling"
-            )
-        curve, _ = analysis.trial_acf(resampled, args.max_lag, unit, sampler)
+        unit = units[sampler]
+        # --max-lag counts samples of the dearest sampler; the slack keeps a
+        # quotient that lands just below an integer from losing a lag
+        max_lag = math.floor(args.max_lag / unit + 1e-9)
+        curve, _ = analysis.trial_acf(traces, max_lag, unit, sampler)
         curves.append(curve)
         name = f"acf_{sampler}.csv"
         analysis.write_acf_csv(curve, os.path.join(args.out, name))
         files.append({"path": name, "kind": "acf",
                       "params": {"sampler": sampler, "trials": len(traces),
-                                 "subsample": stride}})
-        tau = analysis.integrated_time(curve)
-        print(f"{sampler}: {len(traces)} trace(s), subsample x{stride}, "
+                                 "lag_unit": unit}})
+        tau = analysis.integrated_time(curve) * unit
+        print(f"{sampler}: {len(traces)} trace(s), lag unit {unit:.6g}, "
               f"tau_int {tau:.2f} (compute-normalized lags)")
-    analysis.check_lag_units(curves)
     svg = analysis.emit_svg(
         [analysis.curve_from_acf(c) for c in curves],
         title="energy autocorrelation (compute-fair)",
@@ -414,8 +431,9 @@ def build_parser():
     a = sub.add_parser("analyze", help="compute-fair ACF from trace files")
     a.add_argument("traces", nargs="+")
     a.add_argument("--max-lag", type=_positive_int, default=500)
-    a.add_argument("--fair-ratio", type=int, default=None,
-                   help="override: baseline moves per walk move")
+    a.add_argument("--fair-ratio", type=_positive_int, default=None,
+                   help="Metropolis moves per walk move (default: the "
+                        "cost_per_sample of the trace headers)")
     a.add_argument("--out", required=True)
     a.set_defaults(func=cmd_analyze)
 

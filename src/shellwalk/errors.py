@@ -10,7 +10,7 @@ class ConfigurationError(ShellwalkError):
 
 
 class ModelFormatError(ShellwalkError, ValueError):
-    """A model or weight file violates the documented format."""
+    """A model, weight or trace file violates the documented format."""
 
 
 class DegenerateTraceError(ShellwalkError):

@@ -223,8 +223,6 @@ def run_config(config: ExperimentConfig, out_dir=".", workers=1,
     produced = [{"path": "model.json", "kind": "model",
                  "params": {"generator": config.generator, **config.generator_args}}]
 
-    # one recorded sample of either sampler = fair_ratio Metropolis moves
-    cost_per_sample = float(config.fair_ratio)
     traces = {sampler: [] for sampler in SAMPLERS}
     records = {sampler: [] for sampler in SAMPLERS}
     specs = chain_specs(config)
@@ -238,13 +236,15 @@ def run_config(config: ExperimentConfig, out_dir=".", workers=1,
                 progress(spec)
             name = f"trace_{spec.sampler}_{spec.trial:03d}.csv"
             path = os.path.join(out_dir, name)
-            write_trace_csv(record, path,
-                            spec.trace_meta(record, "model.json", cost_per_sample))
+            meta = spec.trace_meta(record, "model.json")
+            # one recorded sample of either sampler = fair_ratio Metropolis moves
+            meta["cost_per_sample"] = float(config.fair_ratio)
+            write_trace_csv(record, path, meta)
             produced.append({"path": name, "kind": "trace",
                              "params": {"sampler": spec.sampler, "trial": spec.trial,
                                         "moves": spec.moves, "stride": spec.stride}})
-            traces[spec.sampler].append(analysis.EnergyTrace(
-                record.energies, {"cost_per_sample": cost_per_sample, "path": path}))
+            traces[spec.sampler].append(
+                analysis.EnergyTrace(record.energies, {"path": path}))
             records[spec.sampler].append(record)
 
     summary = {

@@ -281,16 +281,6 @@ class ShellState:
         self._flips = 0
         self.audit = audit
 
-    @classmethod
-    def from_constraint_bits(cls, model, bits, constraint: ShellConstraint, audit=False):
-        state = cls(model, bits, constraint.reference, audit=audit)
-        if state.distance != constraint.distance:
-            raise ValueError(
-                f"state is at distance {state.distance}, constraint wants "
-                f"{constraint.distance}"
-            )
-        return state
-
     def copy(self):
         new = object.__new__(ShellState)
         new.model = self.model

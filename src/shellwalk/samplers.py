@@ -79,8 +79,8 @@ class ChainRecord:
     ``record_stride``-th attempted move, starting with the first).
     ``seconds_per_move`` is a wall-clock estimate and is deliberately kept out
     of serialized traces so reruns produce byte-identical files;
-    ``evals_per_move`` is the deterministic candidate-evaluation count used
-    for compute-fair comparisons. It counts forward-walk work only: a
+    ``evals_per_move`` is the deterministic candidate-evaluation count, a
+    diagnostic that prices nothing. It counts forward-walk work only: a
     rejected move is rolled back from a checkpoint, which costs no evals.
     """
 
@@ -319,7 +319,7 @@ class ChainSpec:
             config=config, rng=rng, burn_in=self.burn_in,
         )
 
-    def trace_meta(self, record: ChainRecord, model_path, cost_per_sample):
+    def trace_meta(self, record: ChainRecord, model_path):
         """The trace header of this chain's ``record``."""
         return {
             "model": model_path,
@@ -337,7 +337,6 @@ class ChainSpec:
             "order": self.order,
             "engine": self.engine if self.sampler == "im" else "-",
             "evals_per_move": record.evals_per_move,
-            "cost_per_sample": cost_per_sample,
             "acceptance_rate": record.acceptance_rate,
         }
 

@@ -14,10 +14,8 @@ from shellwalk.analysis import (
     check_lag_units,
     curve_from_acf,
     emit_svg,
-    fair_stride,
     integrated_time,
     load_trace,
-    subsample,
     trial_acf,
     write_acf_csv,
 )
@@ -64,30 +62,6 @@ class TestAcf:
             acf(np.full(1000, 3.25), 10)
 
 
-class TestSubsample:
-    def test_identity(self):
-        trace = EnergyTrace(np.arange(100.0), {"cost_per_sample": 2.0})
-        assert subsample(trace, 1) is trace
-
-    def test_stride_ten(self):
-        trace = EnergyTrace(np.arange(100.0), {"cost_per_sample": 1.0})
-        out = subsample(trace, 10)
-        assert len(out) == 10
-        assert out.energies[1] == 10.0
-        assert out.cost_per_sample == 10.0
-
-    def test_thinned_ar1(self):
-        series = ar1_series(0.9, 1_000_000, seed=4)
-        thinned = subsample(EnergyTrace(series), 2)
-        rho = acf(thinned, 10)
-        expected = 0.81 ** np.arange(11)
-        assert np.max(np.abs(rho - expected)) < 0.01
-
-    def test_bad_stride(self):
-        with pytest.raises(ValueError):
-            subsample(EnergyTrace(np.arange(10.0)), 0)
-
-
 class TestAverageAcf:
     def test_identical_trials_have_zero_variance(self):
         rho = acf(ar1_series(0.5, 20_000, seed=5), 20)
@@ -131,6 +105,14 @@ class TestTrialAcf:
         assert curve.label == "x"
         assert np.array_equal(curve.mean, (per_trial[0] + per_trial[1]) / 2)
 
+    def test_thinned_trace_on_scaled_lags(self):
+        # every other sample of an AR(1) chain, at lag unit 2, traces the
+        # full chain's 0.9 ** lag
+        series = ar1_series(0.9, 1_000_000, seed=4)
+        curve, _ = trial_acf([EnergyTrace(series[::2])], 10, lag_unit=2.0)
+        assert curve.lags.tolist() == [2.0 * t for t in range(11)]
+        assert np.max(np.abs(curve.mean - 0.9 ** curve.lags)) < 0.01
+
     def test_degenerate_trace_names_its_path(self):
         flat = EnergyTrace(np.full(20, 3.0), {"path": "flat.csv"})
         with pytest.raises(DegenerateTraceError, match="flat.csv"):
@@ -171,10 +153,6 @@ class TestBootstrapRatioCi:
 
 
 class TestFairness:
-    def test_fair_stride(self):
-        assert fair_stride(100.0, 9.0) == 11
-        assert fair_stride(5.0, 10.0) == 1
-
     def test_lag_unit_guard(self):
         a = AcfCurve(np.arange(3.0), np.ones(3), np.zeros(3), 2, lag_unit=1.0)
         b = AcfCurve(np.arange(3.0), np.ones(3), np.zeros(3), 2, lag_unit=1.04)

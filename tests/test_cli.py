@@ -60,26 +60,26 @@ def small_model(tmp_path):
 # test_trace_files_are_pinned
 SAMPLE_TRACE_DIGESTS = {
     "trace_im_000.csv":
-        "44126f6a1df9498ded6449ae5ff20a8b2a718e73ab7dc5ae3734af438ddebc75",
+        "1e5f4ca7462fc18d12a93ae98f1da582014d74679e02de741f5eba9faffddd11",
     "trace_im_001.csv":
-        "2dd5e474021eb647695d38cc3044f0cdb4c25028d53ae1ee567ded6108d83419",
+        "49564582a0ffa5723f5f4491fe64f59ce67039eee8a656118508b334c49db8a8",
     "trace_metropolis_000.csv":
-        "026f5168dcf69c0c7f99485fbc9ee4fe9f476f752ac3ef259c03aa09f64c19b3",
+        "6acb55901a931bdf2f8ccfc315f767ba85b12f345b73645432ffb88520f1b0df",
     "trace_metropolis_001.csv":
-        "77bd55f82af7dd021fbac2447697aa58bc954c4ae4a2c544cae3ad79f114a7b4",
+        "ad34b3a4cd995b4fb51862360fa0a93e493b1ae50b54f424c05ab82e52d8c32d",
 }
 
 # the same for test_float_coupling_traces_are_pinned: couplings and fields
 # that are not integers, so a reordered floating-point sum changes the bytes
 FLOAT_TRACE_DIGESTS = {
     "trace_im_000.csv":
-        "b683d989abfe0a5af7707b1cfaa9f2f93d2bb780ee2c8957061b8ce7f114d108",
+        "c58dcf0779f5cac09ed901595ad7f88df5cbb7ffe4203063936e2899fb024b76",
     "trace_im_001.csv":
-        "09dd49bd18d14a392e1d9114b7f4d1266f3c39f24d8316b5c13750d057eaaefd",
+        "a3d7bd8947ff016b1fcf8e5c76ecc0ff99933f45340c8e0e46b16a24426c9d43",
     "trace_metropolis_000.csv":
-        "b1c52905050a5218213c43d3f38e9e48ee170dd62b3a551df0c02f68f8b66f30",
+        "eaf62d8f9d68f78aeb24efdc3ffc872b1f30eba82c709e65b979a4a267dcd09a",
     "trace_metropolis_001.csv":
-        "2c52a4699a796140d9d70ed075bcc102fd7882b152fa812eeb0a53ae47891c47",
+        "9fb273d51b411a5d707c84054ad16786d85f1225e5ea6d8f92b791e2c78fe3a0",
 }
 
 
@@ -211,6 +211,74 @@ class TestAnalyze:
         assert run_cli("analyze", path, "--max-lag", 10,
                        "--out", tmp_path / "o") == 1
         assert "flat.csv" in capsys.readouterr().err
+
+
+    def test_fair_ratio_off_a_stride_multiple(self, small_model, tmp_path):
+        # a walk sample costs 4 Metropolis moves and a Metropolis sample 10:
+        # the walk curve keeps every sample, at lag unit 0.4
+        traces = self.make_traces(small_model, tmp_path)
+        out = tmp_path / "acf"
+        assert run_cli("analyze", *traces, "--max-lag", 50,
+                       "--fair-ratio", 4, "--out", out) == 0
+        im_lags = acf_lags(out / "acf_im.csv")
+        assert len(im_lags) == 126
+        assert im_lags == pytest.approx([0.4 * t for t in range(126)])
+        assert acf_lags(out / "acf_metropolis.csv") == [float(t) for t in range(51)]
+
+    def test_reproduces_experiment_acf(self, tmp_path):
+        exp = tmp_path / "exp"
+        assert run_cli("experiment", "glass3d", "--trials", 2, "--seed", 5,
+                       "--im-moves", 120, "--max-lag", 20, "--workers", 1,
+                       "--out", exp) == 0
+        out = tmp_path / "acf"
+        assert run_cli("analyze", *sorted(exp.glob("trace_*.csv")),
+                       "--max-lag", 20, "--out", out) == 0
+        for name in ("acf_im.csv", "acf_metropolis.csv"):
+            assert (out / name).read_bytes() == (exp / name).read_bytes()
+
+    def test_unpriced_overlay_names_fair_ratio(self, small_model, tmp_path, capsys):
+        traces = self.make_traces(small_model, tmp_path, moves=200)
+        assert run_cli("analyze", *traces, "--out", tmp_path / "acf") == 1
+        assert "--fair-ratio" in capsys.readouterr().err
+        assert not (tmp_path / "acf").exists()
+
+    def test_one_sampler_at_two_costs_is_refused(self, small_model, tmp_path,
+                                                  capsys):
+        traces = []
+        for stride in (10, 5):
+            out = tmp_path / f"stride{stride}"
+            run_cli("sample", "--model", small_model, "--sampler", "metropolis",
+                    "--beta", 0.44, "--n", 4, "--moves", 1000,
+                    "--stride", stride, "--seed", 4, "--out", out)
+            traces.append(out / "trace_metropolis_000.csv")
+        assert run_cli("analyze", *traces, "--fair-ratio", 10, "--max-lag", 10,
+                       "--out", tmp_path / "acf") == 1
+        err = capsys.readouterr().err
+        assert "10.0 in" in err and "5.0 in" in err
+
+    @pytest.mark.parametrize("rows, where", [
+        ("0,1.0,1,0\n1\n", "bad.csv:4"),
+        ("0,1.0,1,0\n1,nan,1,0\n", "bad.csv:4"),
+        ("0,1.0,1,0\n1,high,1,0\n", "bad.csv:4"),
+        ("", "bad.csv: no data rows"),
+    ], ids=["one-field", "nan", "not-a-number", "no-rows"])
+    def test_malformed_trace_is_a_file_error(self, tmp_path, capsys, rows, where):
+        path = tmp_path / "bad.csv"
+        path.write_text("# sampler=im\nstep,energy,accepted,k\n" + rows,
+                        encoding="utf-8")
+        assert run_cli("analyze", path, "--max-lag", 1,
+                       "--out", tmp_path / "o") == 3
+        assert where in capsys.readouterr().err
+        assert not list(tmp_path.rglob("acf_*.csv"))
+
+    @pytest.mark.parametrize("ratio", ["0", "-3"])
+    def test_nonpositive_fair_ratio_is_usage_error(self, tmp_path, ratio):
+        assert run_cli("analyze", tmp_path / "t.csv", "--fair-ratio", ratio,
+                       "--out", tmp_path / "o") == 1
+
+
+def acf_lags(path):
+    return [float(row.split(",")[0]) for row in path.read_text().splitlines()[1:]]
 
 
 class TestVerify:

@@ -223,9 +223,3 @@ class TestShellConstraint:
             ShellConstraint((0, 1, 0), 4)
         with pytest.raises(ValueError):
             ShellConstraint((0, 1, 0), -1)
-
-    def test_state_constraint_mismatch(self):
-        model = grid2d(2, 1.0, 0.0)
-        constraint = ShellConstraint((0, 0, 0, 0), 2)
-        with pytest.raises(ValueError):
-            ShellState.from_constraint_bits(model, [1, 0, 0, 0], constraint)
