@@ -43,6 +43,7 @@ def load_trace(path):
     malformed header or row, or no rows at all, raise ``ModelFormatError``
     naming the file and line."""
     meta = {}
+    lines = {}
     energies = []
     with open(path, encoding="utf-8") as handle:
         header_seen = False
@@ -55,6 +56,7 @@ def load_trace(path):
                 if "=" in body:
                     key, value = body.split("=", 1)
                     meta[key.strip()] = value.strip()
+                    lines[key.strip()] = number
                 continue
             if not header_seen:
                 if line != "step,energy,accepted,k":
@@ -74,13 +76,24 @@ def load_trace(path):
             energies.append(energy)
     if not energies:
         raise ModelFormatError(f"{path}: no data rows")
+    numeric = {"beta": float, "gamma": float, "evals_per_move": float,
+               "cost_per_sample": float, "moves": int, "stride": int,
+               "seed": int, "trial": int}
+    for key, kind in numeric.items():
+        if key in meta:
+            try:
+                value = kind(float(meta[key]))
+                # analyze divides by these two
+                positive = key in ("cost_per_sample", "stride")
+                if positive and not 0 < value < math.inf:
+                    raise ValueError
+            except (ValueError, OverflowError):
+                raise ModelFormatError(
+                    f"{path}:{lines[key]}: header {key}={meta[key]!r} is not "
+                    "a valid number"
+                ) from None
+            meta[key] = value
     meta["path"] = str(path)
-    for key in ("beta", "gamma", "evals_per_move", "cost_per_sample"):
-        if key in meta:
-            meta[key] = float(meta[key])
-    for key in ("moves", "stride", "seed", "trial"):
-        if key in meta:
-            meta[key] = int(float(meta[key]))
     return EnergyTrace(np.array(energies, dtype=np.float64), meta)
 
 

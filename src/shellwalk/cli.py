@@ -221,6 +221,12 @@ def cmd_analyze(args):
         # quotient that lands just below an integer from losing a lag
         max_lag = math.floor(args.max_lag / unit + 1e-9)
         curve, _ = analysis.trial_acf(traces, max_lag, unit, sampler)
+        used = len(curve.mean) - 1
+        if used < max_lag:
+            shortest = min(traces, key=len)
+            print(f"note: {sampler}: shortest trace {shortest.meta['path']} has "
+                  f"{len(shortest)} rows, so its lags stop at {used}, not "
+                  f"{max_lag}", file=sys.stderr)
         curves.append(curve)
         name = f"acf_{sampler}.csv"
         analysis.write_acf_csv(curve, os.path.join(args.out, name))

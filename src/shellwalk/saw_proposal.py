@@ -212,30 +212,51 @@ class TreeWalkEngine:
         self._local = local
         self._toward = WeightedIndexTree(toward_w)
         self._away = WeightedIndexTree(away_w)
+        self._base = self._toward._base  # both trees hold num leaves
         self.evals += num
 
     def flip(self, i):
-        """Flip bit ``i`` of the bound state and refresh what the flip touches."""
+        """Flip bit ``i`` of the bound state and refresh what the flip touches:
+        each touched leaf is written into its tree's nodes and its ancestors
+        recomputed by ``WeightedIndexTree.update``'s own rule, so every node
+        equals a fresh build's from the same leaves."""
         model = self.model
         state = self.state
         spins = state.spins
         local = self._local
         fields = model.fields
-        gamma = self.gamma
-        toward = self._toward
-        away = self._away
+        neg_gamma = -self.gamma
+        exp = math.exp
+        base = self._base
+        toward = self._toward._nodes
+        away = self._away._nodes
         state.flip(i, 2.0 * spins[i] * (local[i] + fields[i]))
+        pos = state._pos
+        d = state.distance
         s_new = spins[i]
         step = 2.0 * s_new
-        for j, coupling in model.adjacency[i]:
-            local[j] += step * coupling
-            w = math.exp(-gamma * spins[j] * (local[j] + fields[j]))
-            (toward if state.in_disagree(j) else away).update(j, w)
-        # bit i moves from one candidate set to the other
-        old, new = (away, toward) if state.in_disagree(i) else (toward, away)
-        old.update(i, 0.0)
-        new.update(i, math.exp(-gamma * s_new * (local[i] + fields[i])))
-        self.evals += len(model.adjacency[i]) + 1
+        neighbors = model.adjacency[i]
+        for j, coupling in neighbors:
+            local[j] = local_j = local[j] + step * coupling
+            nodes = toward if pos[j] < d else away
+            p = base + j
+            nodes[p] = exp(neg_gamma * spins[j] * (local_j + fields[j]))
+            p >>= 1
+            while p:
+                nodes[p] = nodes[2 * p] + nodes[2 * p + 1]
+                p >>= 1
+        # bit i moves from one candidate set to the other: both trees climb
+        # from its leaf together
+        old, new = (away, toward) if pos[i] < d else (toward, away)
+        p = base + i
+        old[p] = 0.0
+        new[p] = exp(neg_gamma * s_new * (local[i] + fields[i]))
+        p >>= 1
+        while p:
+            old[p] = old[2 * p] + old[2 * p + 1]
+            new[p] = new[2 * p] + new[2 * p + 1]
+            p >>= 1
+        self.evals += len(neighbors) + 1
         self._flips += 1
         if self._flips % RESYNC_INTERVAL == 0:
             self.sync()
@@ -401,9 +422,11 @@ def run_walks(engine, rng, k, order):
     first_toward = order == ORDER_UP_DOWN
     log_fwd = log_rev = 0.0
     first, second = [], []
+    # the same doubles as 2k scalar draws; nothing else draws in between
+    uniforms = iter(rng.random(2 * k).tolist())
     for toward, walk in ((first_toward, first), (not first_toward, second)):
         for _ in range(k):
-            i, log_p = engine.sample(toward, rng.random())
+            i, log_p = engine.sample(toward, next(uniforms))
             log_fwd += log_p
             engine.flip(i)
             log_rev += engine.log_prob(not toward, i)

@@ -271,6 +271,45 @@ class TestAnalyze:
         assert where in capsys.readouterr().err
         assert not list(tmp_path.rglob("acf_*.csv"))
 
+    @pytest.mark.parametrize("header, where, key", [
+        ("# sampler=im\n# stride=abc\n", "bad.csv:2", "stride"),
+        ("# sampler=im\n# moves=12\n# seed=inf\n", "bad.csv:3", "seed"),
+        ("# beta=\n# sampler=im\n", "bad.csv:1", "beta"),
+        ("# sampler=im\n# stride=0\n", "bad.csv:2", "stride"),
+        ("# sampler=im\n# cost_per_sample=inf\n", "bad.csv:2", "cost_per_sample"),
+    ], ids=["stride", "seed-inf", "beta-empty", "stride-0", "cost-inf"])
+    def test_bad_header_value_is_a_file_error(self, tmp_path, capsys, header,
+                                              where, key):
+        path = tmp_path / "bad.csv"
+        rows = "".join(f"{i},{(-1.0) ** i},1,0\n" for i in range(10))
+        path.write_text(header + "step,energy,accepted,k\n" + rows,
+                        encoding="utf-8")
+        assert run_cli("analyze", path, "--max-lag", 2,
+                       "--out", tmp_path / "o") == 3
+        err = capsys.readouterr().err
+        assert where in err and key in err
+        assert not list(tmp_path.rglob("acf_*.csv"))
+
+    def test_short_trace_caps_lag_with_a_note(self, small_model, tmp_path,
+                                              capsys):
+        run_cli("sample", "--model", small_model, "--sampler", "im",
+                "--beta", 0.44, "--k-min", 1, "--k-max", 3, "--n", 4,
+                "--moves", 3, "--seed", 2, "--out", tmp_path / "runs")
+        trace = tmp_path / "runs" / "trace_im_000.csv"
+        capsys.readouterr()
+        assert run_cli("analyze", trace, "--max-lag", 5,
+                       "--out", tmp_path / "long") == 0
+        captured = capsys.readouterr()
+        assert f"{trace} has 3 rows, so its lags stop at 1, not 5" in captured.err
+        assert "tau_int" in captured.out
+        # the same bytes as asking for the lag that fits, which prints no note
+        assert run_cli("analyze", trace, "--max-lag", 1,
+                       "--out", tmp_path / "fits") == 0
+        assert "note" not in capsys.readouterr().err
+        assert acf_lags(tmp_path / "long" / "acf_im.csv") == [0.0, 1.0]
+        assert ((tmp_path / "long" / "acf_im.csv").read_bytes()
+                == (tmp_path / "fits" / "acf_im.csv").read_bytes())
+
     @pytest.mark.parametrize("ratio", ["0", "-3"])
     def test_nonpositive_fair_ratio_is_usage_error(self, tmp_path, ratio):
         assert run_cli("analyze", tmp_path / "t.csv", "--fair-ratio", ratio,

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 
@@ -23,6 +24,7 @@ from shellwalk.saw_proposal import (
     propose,
     reverse_sequences,
 )
+from shellwalk.weighted_index import WeightedIndexTree
 
 
 def chain_model(num_vars, coupling=1.0, fields=None):
@@ -320,6 +322,102 @@ class TestEngines:
                        rng, engine="scan")
         assert math.isfinite(move.log_fwd)
         assert math.isfinite(move.log_rev)
+
+
+def field_grid(seed):
+    """A 6x6 grid with a non-integer coupling and random non-integer fields."""
+    rng = np.random.default_rng(seed)
+    fields = rng.uniform(-0.4, 0.4, 36).tolist()
+    return IsingModel(36, grid2d(6, 0.37, 0.0).edges, fields)
+
+
+def assert_trees_are_exact(engine):
+    """Each tree's nodes equal a fresh build from the engine's own leaves,
+    and each leaf is its bit's weight in its own set's tree, 0.0 in the other."""
+    model, state = engine.model, engine.state
+    for tree in (engine._toward, engine._away):
+        assert tree.checkpoint() == WeightedIndexTree(tree.weights()).checkpoint()
+    toward, away = engine._toward.weights(), engine._away.weights()
+    for j in range(model.num_vars):
+        assert engine._local[j] == pytest.approx(
+            sum(c * state.spins[n] for n, c in model.adjacency[j]), abs=1e-12)
+        w = math.exp(-engine.gamma * state.spins[j]
+                     * (engine._local[j] + model.fields[j]))
+        own, other = (toward, away) if state.in_disagree(j) else (away, toward)
+        assert own[j] == w
+        assert other[j] == 0.0
+
+
+class TestFusedFlip:
+    @pytest.fixture(params=[RESYNC_INTERVAL, 7], ids=["default", "resync-7"])
+    def resync(self, request, monkeypatch):
+        monkeypatch.setattr("shellwalk.saw_proposal.RESYNC_INTERVAL",
+                            request.param)
+        return request.param
+
+    def test_random_flips_keep_trees_exact(self, resync):
+        model = field_grid(3)
+        rng = np.random.default_rng(17)
+        state = random_shell_state(model, ShellConstraint((0,) * 36, 14), rng)
+        engine = TreeWalkEngine(model, state, gamma=0.8)
+        for step in range(1, 2001):
+            engine.flip(int(rng.integers(0, 36)))
+            if step % 250 == 0:
+                assert_trees_are_exact(engine)
+
+    def test_rejected_walks_keep_trees_exact(self, resync):
+        model = field_grid(5)
+        rng = np.random.default_rng(19)
+        state = random_shell_state(model, ShellConstraint((0,) * 36, 14), rng)
+        config = ImConfig(beta=1.2, saw=SawParams(gamma=0.8, k_min=1, k_max=6),
+                          engine="tree")
+        sampler = ImSampler(model, state, config, rng=rng)
+        rejected = 0
+        for _ in range(300):
+            accepted, _ = sampler.step()
+            rejected += not accepted
+            assert_trees_are_exact(sampler.engine)
+        # at interval 7, a resync falls inside most walks of 2 to 12 flips
+        assert rejected >= 50
+        assert sampler.engine._flips >= 1000
+
+
+def draws_of_one_move(rng, params, k, step):
+    """Advance ``rng`` by the scalar draws one walk move makes, in order."""
+    rng.integers(params.k_min, params.k_max + 1)
+    if params.order_policy == "random":
+        rng.random()
+    for _ in range(2 * k):
+        rng.random()
+    if step:
+        rng.random()
+
+
+class TestRngUse:
+    @pytest.mark.parametrize("k_min, k_max, policy", [
+        (3, 3, ORDER_UP_DOWN), (1, 5, "random"), (0, 2, ORDER_DOWN_UP),
+    ], ids=["fixed-k", "random-order", "k-min-0"])
+    def test_walk_move_draws_are_unchanged(self, k_min, k_max, policy):
+        model = grid2d(4, 0.37, 0.11)
+        rng = np.random.default_rng(23)
+        state = random_shell_state(model, ShellConstraint((0,) * 16, 7), rng)
+        params = SawParams(gamma=0.8, k_min=k_min, k_max=k_max,
+                           order_policy=policy)
+        ks = set()
+        for _ in range(40):
+            mirror = copy.deepcopy(rng)
+            move = propose(model, state, params, rng)
+            draws_of_one_move(mirror, params, move.k, step=False)
+            assert rng.bit_generator.state == mirror.bit_generator.state
+            ks.add(move.k)
+        sampler = ImSampler(model, state, ImConfig(beta=1.0, saw=params), rng=rng)
+        for _ in range(40):
+            mirror = copy.deepcopy(rng)
+            _, k = sampler.step()
+            draws_of_one_move(mirror, params, k, step=True)
+            assert rng.bit_generator.state == mirror.bit_generator.state
+            ks.add(k)
+        assert ks == set(range(k_min, k_max + 1))
 
 
 class TestKDraw:
