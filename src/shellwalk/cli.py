@@ -123,6 +123,8 @@ def cmd_gen(args):
 def _resolve_shell_distance(args, num_vars):
     if args.n is not None:
         n = args.n
+    elif args.n_fraction > 1.0:
+        raise ConfigurationError(f"--n-fraction must be <= 1, got {args.n_fraction}")
     else:
         n = math.floor(args.n_fraction * num_vars)
     if not 0 <= n <= num_vars:
@@ -146,7 +148,7 @@ def cmd_sample(args):
             k_min=args.k if args.k is not None else args.k_min,
             k_max=args.k if args.k is not None else args.k_max,
             order=args.order,
-            engine=args.engine,
+            engine="auto",
             shell_distance=n,
             moves=args.moves,
             stride=args.stride,
@@ -422,13 +424,12 @@ def build_parser():
     group = s.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=int, default=None,
                        help="shell distance (count of active bits)")
-    group.add_argument("--n-fraction", type=float, default=None)
+    group.add_argument("--n-fraction", type=_nonnegative_fraction, default=None)
     s.add_argument("--moves", type=_positive_int, required=True)
     s.add_argument("--trials", type=_positive_int, default=1)
     s.add_argument("--stride", type=_positive_int, default=1)
     s.add_argument("--burn-in-fraction", type=_nonnegative_fraction, default=0.1)
     s.add_argument("--seed", type=int, default=None)
-    s.add_argument("--engine", choices=("auto", "tree", "scan"), default="auto")
     s.add_argument("--debug", action="store_true",
                    help="assert shell and cache coherence while running")
     s.add_argument("--out", required=True)

@@ -50,8 +50,8 @@ DENSE_DEGREE_FRACTION = 0.25
 # lattices, where per-step rescans cost more than tree updates.
 MIN_DENSE_DEGREE = 8.0
 
-# Tree-engine flips between from-scratch rebuilds of the local fields and
-# both trees; with an audited state the rebuild also checks the old fields.
+# State flips between an engine's rebuilds from scratch, which check the old
+# local fields of an audited state; a multiple of ENERGY_REFRESH_INTERVAL.
 RESYNC_INTERVAL = 1 << 16
 
 
@@ -82,11 +82,11 @@ class SawMove:
     """One proposed shell-preserving move and its exact proposal probabilities.
 
     ``first_walk`` and ``second_walk`` are the flipped bit indices of the two
-    walks in the order applied; ``bridge`` is the state between them and
-    ``proposed`` the final state back on the starting shell. ``log_fwd`` is
-    the log probability of generating exactly this walk pair from the start
-    state; ``log_rev`` is the log probability of the reversed pair
-    (second walk reversed, then first walk reversed) from ``proposed``.
+    walks in the order applied; ``proposed`` is the final state, back on the
+    starting shell. ``log_fwd`` is the log probability of generating exactly
+    this walk pair from the start state; ``log_rev`` is the log probability of
+    the reversed pair (second walk reversed, then first walk reversed) from
+    ``proposed``.
     """
 
     order: str
@@ -94,7 +94,6 @@ class SawMove:
     gamma: float
     first_walk: tuple
     second_walk: tuple
-    bridge: ShellState
     proposed: ShellState
     log_fwd: float
     log_rev: float
@@ -151,6 +150,16 @@ def choose_engine_kind(model, gamma, kind="auto"):
     return "tree"
 
 
+def check_local_fields(state, cached, scratch):
+    """With an audited state, raise ``CoherenceError`` when a cached local
+    field (None on the first build) drifted from its from-scratch value."""
+    if state.audit and cached is not None:
+        for i, (old, new) in enumerate(zip(cached, scratch)):
+            if abs(old - new) > COHERENCE_RTOL * (1.0 + abs(new)):
+                raise CoherenceError(
+                    f"local field {i} is {float(old)!r}, recomputed {float(new)!r}")
+
+
 def make_engine(model, state, gamma, kind="auto"):
     resolved = choose_engine_kind(model, gamma, kind)
     if resolved == "tree":
@@ -176,7 +185,6 @@ class TreeWalkEngine:
         self.state = state
         self.gamma = gamma
         self.evals = 0
-        self._flips = 0
         self._local = None
         self.sync()
 
@@ -203,12 +211,7 @@ class TreeWalkEngine:
                 toward_w[i] = w
             else:
                 away_w[i] = w
-        if state.audit and self._local is not None:
-            for i, (cached, scratch) in enumerate(zip(self._local, local)):
-                if abs(cached - scratch) > COHERENCE_RTOL * (1.0 + abs(scratch)):
-                    raise CoherenceError(
-                        f"local field {i} is {cached!r}, recomputed {scratch!r}"
-                    )
+        check_local_fields(state, self._local, local)
         self._local = local
         self._toward = WeightedIndexTree(toward_w)
         self._away = WeightedIndexTree(away_w)
@@ -230,7 +233,9 @@ class TreeWalkEngine:
         base = self._base
         toward = self._toward._nodes
         away = self._away._nodes
-        state.flip(i, 2.0 * spins[i] * (local[i] + fields[i]))
+        # bit i's field is untouched by its own flip (no self-couplings)
+        field_i = local[i] + fields[i]
+        state.flip(i, 2.0 * spins[i] * field_i)
         pos = state._pos
         d = state.distance
         s_new = spins[i]
@@ -250,15 +255,14 @@ class TreeWalkEngine:
         old, new = (away, toward) if pos[i] < d else (toward, away)
         p = base + i
         old[p] = 0.0
-        new[p] = exp(neg_gamma * s_new * (local[i] + fields[i]))
+        new[p] = exp(neg_gamma * s_new * field_i)
         p >>= 1
         while p:
             old[p] = old[2 * p] + old[2 * p + 1]
             new[p] = new[2 * p] + new[2 * p + 1]
             p >>= 1
         self.evals += len(neighbors) + 1
-        self._flips += 1
-        if self._flips % RESYNC_INTERVAL == 0:
+        if state._flips % RESYNC_INTERVAL == 0:
             self.sync()
 
     def checkpoint(self):
@@ -288,11 +292,10 @@ class TreeWalkEngine:
 class ScanWalkEngine:
     """Per-step candidate scan for dense models or extreme exponents.
 
-    Maintains spins and local fields as vectors; every step recomputes all
-    flip energy changes in O(M) (cached per state version, so the reverse-
-    factor lookup after a flip reuses the scan of the next sampling step).
-    ``flip`` also flips the bound state, with the energy change read off the
-    local field.
+    Keeps the local fields as a vector and reads spins from the bound state;
+    every step recomputes all flip energy changes in O(M) (cached until the
+    next flip, so the reverse-factor lookup after a flip reuses the scan of
+    the next sampling step). ``flip`` also flips the bound state.
     """
 
     kind = "scan"
@@ -304,69 +307,68 @@ class ScanWalkEngine:
         self.evals = 0
         self._nbr_idx, self._nbr_coup = model.neighbor_arrays()
         self._fields = model.fields_array()
-        # when no flip can push the weight exponent near overflow, skip the
-        # per-step shift entirely
+        # gamma * rho, rho = 2 * reference - 1: a disagreeing bit's spin is -rho
+        self._gamma_rho = gamma * (2.0 * np.array(state.reference, dtype=np.float64) - 1.0)
+        # skip the per-step shift when no flip can push exp() near overflow
         self._may_overflow = 0.5 * gamma * model.max_flip_delta() > MAX_SAFE_EXPONENT
+        self._local = None
         self.sync()
 
     def sync(self):
+        """Rebuild local fields and the partition mask from the bound state,
+        checking the old fields as ``TreeWalkEngine.sync`` does."""
         state = self.state
-        self._spins = np.array(state.spins, dtype=np.float64)
+        spins = np.array(state.spins, dtype=np.float64)
         num = self.model.num_vars
         local = np.zeros(num, dtype=np.float64)
         for i in range(num):
             idx = self._nbr_idx[i]
             if idx.size:
-                local[i] = float(self._nbr_coup[i] @ self._spins[idx])
+                local[i] = float(self._nbr_coup[i] @ spins[idx])
+        check_local_fields(state, self._local, local)
         self._local = local
-        disagree = np.zeros(num, dtype=bool)
-        disagree[state.disagree_indices()] = True
-        self._disagree = disagree
-        self._version = 0
-        self._cache_version = -1
-        self._cache = None
+        self._disagree = np.zeros(num, dtype=bool)
+        self._disagree[state.disagree_indices()] = True
+        self._logits = None
 
     def flip(self, i):
-        spins = self._spins
-        s_old = float(spins[i])
-        field_i = float(self._local[i]) + float(self._fields[i])
-        self.state.flip(i, 2.0 * s_old * field_i)
-        spins[i] = -s_old
+        """Flip bit ``i`` of the bound state and its neighbors' local fields."""
+        state = self.state
+        s = state.spins[i]
+        state.flip(i, 2.0 * s * (float(self._local[i]) + float(self._fields[i])))
         idx = self._nbr_idx[i]
         if idx.size:
-            self._local[idx] += 2.0 * spins[i] * self._nbr_coup[i]
+            self._local[idx] += -2.0 * s * self._nbr_coup[i]
         self._disagree[i] = not self._disagree[i]
-        self._version += 1
+        self._logits = None
+        if state._flips % RESYNC_INTERVAL == 0:
+            self.sync()
 
     def checkpoint(self):
-        """Copies of the bound state, spins, local fields and partition mask."""
-        return (self.state.checkpoint(), self._spins.copy(), self._local.copy(),
-                self._disagree.copy())
+        """Copies of the bound state, local fields and partition mask."""
+        return (self.state.checkpoint(), self._local.copy(), self._disagree.copy())
 
     def restore(self, saved):
-        """Return the bound state and the engine in place to a ``checkpoint``;
-        the logit cache is invalidated."""
-        state, self._spins[:], self._local[:], self._disagree[:] = saved
+        """Return the bound state and the engine in place to a ``checkpoint``."""
+        state, self._local[:], self._disagree[:] = saved
         self.state.restore(state)
-        self._version += 1
-
-    def _logits(self):
-        # -gamma * deltaE / 2 for every variable, cached per state version
-        if self._cache_version != self._version:
-            half_deltas = self._spins * (self._local + self._fields)
-            self._cache = -self.gamma * half_deltas
-            self._cache_version = self._version
-        return self._cache
+        self._logits = None
 
     def _candidate_logits(self, toward):
-        z_all = self._logits()
-        mask = self._disagree if toward else ~self._disagree
-        idx = np.nonzero(mask)[0]
-        z = z_all[idx]
+        # -gamma * deltaE / 2 of every bit as a toward candidate, cached until
+        # the next flip; an away candidate's logit is its negation. Sign flips
+        # are exact: these are the doubles of -gamma * (s * (L + h)).
+        logits = self._logits
+        if logits is None:
+            logits = self._logits = self._gamma_rho * (self._local + self._fields)
+        if toward:
+            idx = np.nonzero(self._disagree)[0]
+            z = logits[idx]
+        else:
+            idx = np.nonzero(~self._disagree)[0]
+            z = -logits[idx]
         self.evals += idx.size
-        shift = 0.0
-        if self._may_overflow and z.size:
-            shift = float(z.max())
+        shift = float(z.max()) if self._may_overflow and z.size else 0.0
         return idx, z, shift
 
     def sample(self, toward, u):
@@ -376,9 +378,8 @@ class ScanWalkEngine:
         weights = np.exp(z - shift)
         cumulative = np.cumsum(weights)
         total = cumulative[-1]
-        pos = int(np.searchsorted(cumulative, u * total, side="right"))
-        if pos >= idx.size:
-            pos = idx.size - 1
+        pos = min(int(np.searchsorted(cumulative, u * total, side="right")),
+                  idx.size - 1)
         while weights[pos] <= 0.0 and pos > 0:
             pos -= 1
         log_prob = float(z[pos] - shift) - math.log(float(total))
@@ -389,7 +390,7 @@ class ScanWalkEngine:
             return NEG_INF
         idx, z, shift = self._candidate_logits(toward)
         total = float(np.exp(z - shift).sum())
-        z_i = float(-self.gamma * self._spins[i] * (self._local[i] + self._fields[i]))
+        z_i = float(self._logits[i]) if toward else -float(self._logits[i])
         return (z_i - shift) - math.log(total)
 
 
@@ -445,16 +446,12 @@ def propose(model, state, params, rng, engine="auto"):
     eng = make_engine(model, work, params.gamma, engine)
     k, order = draw_move_shape(params, rng, work.distance, model.num_vars)
     first, second, log_fwd, log_rev = run_walks(eng, rng, k, order)
-    bridge = state.copy()
-    for i in first:
-        bridge.flip(i)
     return SawMove(
         order=order,
         k=k,
         gamma=params.gamma,
         first_walk=tuple(first),
         second_walk=tuple(second),
-        bridge=bridge,
         proposed=work,
         log_fwd=log_fwd,
         log_rev=log_rev,

@@ -126,6 +126,16 @@ class TestSample:
                        "--beta", 0.4, "--n", 10, "--moves", 10,
                        "--out", tmp_path / "o") == 1
 
+    @pytest.mark.parametrize("fraction", ["inf", "nan", "1e308"])
+    def test_bad_n_fraction_is_usage_error(self, small_model, tmp_path, capsys,
+                                           fraction):
+        out = tmp_path / "o"
+        assert run_cli("sample", "--model", small_model, "--sampler", "im",
+                       "--beta", 0.4, "--n-fraction", fraction, "--moves", 10,
+                       "--out", out) == 1
+        assert "--n-fraction" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_trace_files_are_pinned(self, small_model, tmp_path, monkeypatch):
         # whole files, header included; the relative model path keeps the
         # header free of the temporary directory

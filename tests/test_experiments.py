@@ -102,6 +102,13 @@ TRACE_FILE_DIGESTS = {
         "trace_metropolis_000.csv":
             "12fd9fae649f9b431bedf2d1c225f32e87b86fa3e09c0681b8fd231614fa8644",
     },
+    # the scan engine's walk
+    "rbm": {
+        "trace_im_000.csv":
+            "596480e963802c2ad6d7eefc72757cbb952630827a0841a17e56ea0435e02ce7",
+        "trace_metropolis_000.csv":
+            "6b6235cdfc197c1169d786cf278c0f53ec0b6863eb4be9b566cb5c6ff37c023e",
+    },
 }
 
 

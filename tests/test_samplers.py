@@ -119,8 +119,7 @@ def engine_snapshot(engine):
     if engine.kind == "tree":
         return parts + [list(engine._local), engine._toward.checkpoint(),
                         engine._away.checkpoint()]
-    return parts + [engine._spins.tolist(), engine._local.tolist(),
-                    engine._disagree.tolist()]
+    return parts + [engine._local.tolist(), engine._disagree.tolist()]
 
 
 def rejecting_chain(engine, seed):

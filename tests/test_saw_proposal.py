@@ -16,6 +16,7 @@ from shellwalk.saw_proposal import (
     ORDER_UP_DOWN,
     RESYNC_INTERVAL,
     SawParams,
+    ScanWalkEngine,
     TreeWalkEngine,
     check_walk_lengths,
     choose_engine_kind,
@@ -30,6 +31,14 @@ from shellwalk.weighted_index import WeightedIndexTree
 def chain_model(num_vars, coupling=1.0, fields=None):
     edges = [(i, i + 1, coupling) for i in range(num_vars - 1)]
     return IsingModel(num_vars, edges, fields or [0.0] * num_vars)
+
+
+def replayed(start, walk):
+    """A copy of ``start`` with the bits of ``walk`` flipped."""
+    state = start.copy()
+    for i in walk:
+        state.flip(i)
+    return state
 
 
 def brute_step_log_prob(model, state, flip_index, toward, gamma):
@@ -124,7 +133,7 @@ class TestWalkGeometry:
             move = propose(model, state, params, rng)
             assert move.proposed.distance == state.distance
             offset = -move.k if move.order == ORDER_UP_DOWN else move.k
-            assert move.bridge.distance == state.distance + offset
+            assert replayed(state, move.first_walk).distance == state.distance + offset
 
     def test_self_avoidance_within_walks(self):
         for seed in range(8):
@@ -290,10 +299,12 @@ class TestEngines:
                 else:
                     assert got == pytest.approx(want, abs=1e-9)
 
-    def test_resync_audit_catches_field_drift(self):
+    @pytest.mark.parametrize("engine_class", [TreeWalkEngine, ScanWalkEngine],
+                             ids=["tree", "scan"])
+    def test_resync_audit_catches_field_drift(self, engine_class):
         model = grid2d(3, 1.0, 0.0)
         state = ShellState(model, [0] * 9, (0,) * 9, audit=True)
-        engine = TreeWalkEngine(model, state, gamma=0.5)
+        engine = engine_class(model, state, gamma=0.5)
         # bit 8 is no neighbor of bit 0, so only the periodic rebuild reads it
         engine._local[8] += 1.0
         with pytest.raises(CoherenceError, match="local field 8"):
@@ -379,7 +390,7 @@ class TestFusedFlip:
             assert_trees_are_exact(sampler.engine)
         # at interval 7, a resync falls inside most walks of 2 to 12 flips
         assert rejected >= 50
-        assert sampler.engine._flips >= 1000
+        assert sampler.state._flips >= 1000
 
 
 def draws_of_one_move(rng, params, k, step):
@@ -472,5 +483,5 @@ class TestKDraw:
         params = SawParams(gamma=0.4, k_min=3, k_max=3,
                            order_policy=ORDER_DOWN_UP)
         move = propose(model, state, params, rng)
-        assert move.bridge.distance == 5
+        assert replayed(state, move.first_walk).distance == 5
         assert move.proposed.distance == 2
