@@ -54,6 +54,7 @@ from .samplers import (
     ChainSpec,
     ImConfig,
     MetropolisConfig,
+    burn_in_moves,
     chain_rng,
     random_shell_state,
     write_trace_csv,
@@ -138,7 +139,6 @@ def cmd_sample(args):
     model = load_model(args.model)
     n = _resolve_shell_distance(args, model.num_vars)
     gamma = args.gamma if args.gamma is not None else args.beta
-    os.makedirs(args.out, exist_ok=True)
     files = []
     for trial in range(args.trials):
         spec = ChainSpec(
@@ -152,7 +152,8 @@ def cmd_sample(args):
             shell_distance=n,
             moves=args.moves,
             stride=args.stride,
-            burn_in=int(round(args.burn_in_fraction * args.moves)),
+            burn_in=burn_in_moves(args.burn_in_fraction, args.moves,
+                                  "--burn-in-fraction"),
             seed=args.seed,
             trial=trial,
             chain_index=trial,
@@ -160,6 +161,8 @@ def cmd_sample(args):
         record = spec.run(model, audit=args.debug)
         meta = spec.trace_meta(record, args.model)
         name = f"trace_{args.sampler}_{trial:03d}.csv"
+        # after the first chain's sampler accepted the configuration
+        os.makedirs(args.out, exist_ok=True)
         write_trace_csv(record, os.path.join(args.out, name), meta)
         files.append({"path": name, "kind": "trace",
                       "params": {"sampler": args.sampler, "trial": trial}})

@@ -25,7 +25,7 @@ import numpy as np
 from . import analysis
 from .errors import ConfigurationError
 from .generators import cube3d_pm_j, grid2d, rbm_gabor, save_model
-from .samplers import ChainSpec, write_trace_csv
+from .samplers import ChainSpec, burn_in_moves, write_trace_csv
 
 SCALES = ("paper", "desk")
 PRESET_NAMES = ("ferro2d", "glass3d", "rbm")
@@ -132,6 +132,12 @@ def preset_config(preset, scale, seed=0, trials=10, im_moves=None,
     recorded = spec["im_moves"]
     if max_lag is None:
         max_lag = max(10, min(recorded // 5, 2000))
+    for name, value in (("im_moves", recorded), ("fair_ratio", spec["fair_ratio"]),
+                        ("max_lag", max_lag)):
+        if value < 1:
+            raise ConfigurationError(f"{name} must be >= 1, got {value}")
+    # the Metropolis chain is the longer one
+    burn_in_moves(burn_in_fraction, recorded * spec["fair_ratio"])
     return ExperimentConfig(
         preset=preset,
         scale=scale,
@@ -174,7 +180,7 @@ def chain_specs(config: ExperimentConfig):
                 shell_distance=config.shell_distance,
                 moves=moves,
                 stride=stride,
-                burn_in=int(round(config.burn_in_fraction * moves)),
+                burn_in=burn_in_moves(config.burn_in_fraction, moves),
                 seed=config.seed,
                 trial=trial,
                 chain_index=2 * trial + index,

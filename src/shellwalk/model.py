@@ -8,8 +8,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import CoherenceError, ModelFormatError
 
 # Flips between from-scratch energy refreshes of a ShellState's cached energy.
@@ -36,9 +34,6 @@ class IsingModel:
         "fields",
         "adjacency",
         "meta",
-        "_nbr_idx",
-        "_nbr_coup",
-        "_fields_arr",
     )
 
     def __init__(self, num_vars, edges, fields=None, meta=None):
@@ -85,9 +80,6 @@ class IsingModel:
         self.adjacency = tuple(tuple(row) for row in adj)
 
         self.meta = dict(meta) if meta else {}
-        self._nbr_idx = None
-        self._nbr_coup = None
-        self._fields_arr = None
 
     @property
     def num_edges(self):
@@ -125,25 +117,6 @@ class IsingModel:
         for i, h in enumerate(self.fields):
             total -= h * spins[i]
         return total
-
-    # numpy views used by the dense-model candidate scanner
-
-    def neighbor_arrays(self):
-        if self._nbr_idx is None:
-            self._nbr_idx = [
-                np.array([j for j, _ in row], dtype=np.intp)
-                for row in self.adjacency
-            ]
-            self._nbr_coup = [
-                np.array([c for _, c in row], dtype=np.float64)
-                for row in self.adjacency
-            ]
-        return self._nbr_idx, self._nbr_coup
-
-    def fields_array(self):
-        if self._fields_arr is None:
-            self._fields_arr = np.array(self.fields, dtype=np.float64)
-        return self._fields_arr
 
     def to_dict(self):
         out = {
@@ -232,15 +205,15 @@ class ShellConstraint:
 
 
 class ShellState:
-    """A configuration, kept once as +/-1 ``spins``, with cached energy,
-    Hamming distance to a reference state, and the agree/disagree partition.
+    """A configuration, kept once as +/-1 ``spins``, with its cached energy
+    and Hamming distance to a reference state.
 
-    The partition is kept as a permutation of all indices with the disagreeing
-    ones in the first ``distance`` slots, which gives O(1) membership tests and
-    O(1) transfers between the two sets on every flip. The cached energy is
-    refreshed from scratch every ``ENERGY_REFRESH_INTERVAL`` flips; with
-    ``audit=True`` the refresh also asserts coherence of the cache, and the
-    samplers check after every move that the state kept its shell.
+    Which side of the agree/disagree partition a bit is on is read off its
+    spin and the reference; the index lists are derived on demand. The
+    cached energy is refreshed from scratch every ``ENERGY_REFRESH_INTERVAL``
+    flips; with ``audit=True`` the refresh also asserts coherence of the
+    cache, and the samplers check after every move that the state kept its
+    shell.
 
     Each instance is exclusively owned by one chain; the referenced model is
     immutable and may be shared.
@@ -252,8 +225,6 @@ class ShellState:
         "reference",
         "distance",
         "energy",
-        "_members",
-        "_pos",
         "_flips",
         "audit",
     )
@@ -270,13 +241,7 @@ class ShellState:
             raise ValueError("bits must be a {0,1} vector")
         self.spins = [2.0 * b - 1.0 for b in bits]
         self.reference = tuple(int(r) for r in reference)
-        disagree = [i for i in range(m) if bits[i] != self.reference[i]]
-        agree = [i for i in range(m) if bits[i] == self.reference[i]]
-        self._members = disagree + agree
-        self._pos = [0] * m
-        for pos, i in enumerate(self._members):
-            self._pos[i] = pos
-        self.distance = len(disagree)
+        self.distance = sum(b != r for b, r in zip(bits, self.reference))
         self.energy = model.energy(bits)
         self._flips = 0
         self.audit = audit
@@ -288,8 +253,6 @@ class ShellState:
         new.reference = self.reference
         new.distance = self.distance
         new.energy = self.energy
-        new._members = list(self._members)
-        new._pos = list(self._pos)
         new._flips = self._flips
         new.audit = self.audit
         return new
@@ -315,7 +278,7 @@ class ShellState:
         return 2.0 * spins[i] * acc
 
     def flip(self, i, delta=None):
-        """Invert bit ``i`` in place, updating all caches incrementally.
+        """Invert bit ``i`` in place, updating energy and distance.
 
         ``delta`` is the flip's energy change, computed here unless the
         caller holds it. Returns the energy change that was applied.
@@ -323,22 +286,10 @@ class ShellState:
         if delta is None:
             delta = self.delta_energy(i)
         self.energy += delta
-        self.spins[i] = -self.spins[i]
-        pos = self._pos[i]
-        d = self.distance
-        members = self._members
-        if pos < d:
-            # disagreeing -> agreeing: swap into the boundary slot d-1
-            last = d - 1
-            other = members[last]
-            members[pos], members[last] = other, i
-            self._pos[other], self._pos[i] = pos, last
-            self.distance = last
-        else:
-            other = members[d]
-            members[pos], members[d] = other, i
-            self._pos[other], self._pos[i] = pos, d
-            self.distance = d + 1
+        s = self.spins[i]
+        self.spins[i] = -s
+        # an agreeing bit (its bit equals the reference's) starts to disagree
+        self.distance += 1 if (s > 0.0) == self.reference[i] else -1
         self._flips += 1
         if self._flips % ENERGY_REFRESH_INTERVAL == 0:
             self._refresh_energy()
@@ -346,13 +297,11 @@ class ShellState:
 
     def checkpoint(self):
         """Copies of everything a flip changes, for ``restore``."""
-        return (list(self.spins), list(self._members), list(self._pos),
-                self.distance, self.energy)
+        return list(self.spins), self.distance, self.energy
 
     def restore(self, saved):
-        """Return in place to a ``checkpoint``; the lists stay the same objects."""
-        (self.spins[:], self._members[:], self._pos[:],
-         self.distance, self.energy) = saved
+        """Return in place to a ``checkpoint``; ``spins`` stays the same list."""
+        self.spins[:], self.distance, self.energy = saved
 
     def _refresh_energy(self):
         scratch = self.model.energy(self.bits)
@@ -366,26 +315,16 @@ class ShellState:
         self.energy = scratch
 
     def in_disagree(self, i):
-        return self._pos[i] < self.distance
-
-    def disagree_at(self, position):
-        """The ``position``-th disagreeing index (arbitrary but stable order)."""
-        if not 0 <= position < self.distance:
-            raise IndexError(f"no disagreeing slot {position}")
-        return self._members[position]
-
-    def agree_at(self, position):
-        if not 0 <= position < len(self.spins) - self.distance:
-            raise IndexError(f"no agreeing slot {position}")
-        return self._members[self.distance + position]
+        return (self.spins[i] > 0.0) != self.reference[i]
 
     def disagree_indices(self):
-        """Indices where the state differs from the reference (unsorted)."""
-        return self._members[: self.distance]
+        """Ascending indices where the state differs from the reference."""
+        return self.partition()[1]
 
     def agree_indices(self):
-        return self._members[self.distance :]
+        """Ascending indices where the state equals the reference."""
+        return self.partition()[0]
 
     def partition(self):
-        """From-scratch (agree, disagree) partition; used for cache checks."""
+        """The (agree, disagree) index lists, each ascending."""
         return partition_sets(self.bits, self.reference)

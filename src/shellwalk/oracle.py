@@ -172,18 +172,14 @@ def exact_im_kernel(model: IsingModel, beta, params: SawParams, constraint,
         for order in orders:
             first_toward = order == ORDER_UP_DOWN
             first_cands = (
-                sorted(start.disagree_indices())
-                if first_toward
-                else sorted(start.agree_indices())
+                start.disagree_indices() if first_toward else start.agree_indices()
             )
             for first_seq in permutations(first_cands, k):
                 mid = start.copy()
                 for i in first_seq:
                     mid.flip(i)
                 second_cands = (
-                    sorted(mid.disagree_indices())
-                    if not first_toward
-                    else sorted(mid.agree_indices())
+                    mid.agree_indices() if first_toward else mid.disagree_indices()
                 )
                 for second_seq in permutations(second_cands, k):
                     log_fwd = path_log_prob(

@@ -163,6 +163,13 @@ class MetropolisSampler:
     accept uniform. An accepted swap hands each bit's energy change to
     ``ShellState.flip``, except the second bit's when the two are neighbors,
     since the first flip changes its field.
+
+    The picks index the sampler's own slot order, a permutation of the bits
+    with the ``distance`` disagreeing ones first, built ascending on each
+    side from the state at construction. An accepted swap moves the
+    disagreeing bit to the last disagreeing slot, then the agreeing bit into
+    that slot and the first bit into the agreeing bit's old slot. The
+    sampler must be the only one to flip its state.
     """
 
     name = "metropolis"
@@ -180,6 +187,8 @@ class MetropolisSampler:
         self.config = config
         self.rng = rng if rng is not None else np.random.default_rng(config.seed)
         self.shell_distance = n
+        agree, disagree = state.partition()
+        self._slots = disagree + agree
         self.accepts = 0
         self.evals = 0
 
@@ -188,9 +197,12 @@ class MetropolisSampler:
         state = self.state
         model = self.model
         rng = self.rng
-        n = state.distance
-        i = state.disagree_at(int(rng.integers(0, n)))
-        j = state.agree_at(int(rng.integers(0, state.num_vars - n)))
+        slots = self._slots
+        n = self.shell_distance
+        a = int(rng.integers(0, n))
+        b = n + int(rng.integers(0, len(slots) - n))
+        i = slots[a]
+        j = slots[b]
         spins = state.spins
         acc_i = model.fields[i]
         coupling_ij = 0.0
@@ -214,6 +226,9 @@ class MetropolisSampler:
         if accepted:
             state.flip(i, delta_i)
             state.flip(j, None if adjacent else delta_j)
+            slots[a] = slots[n - 1]
+            slots[n - 1] = j
+            slots[b] = i
         self.accepts += accepted
         if state.audit and state.distance != self.shell_distance:
             raise CoherenceError(
@@ -273,6 +288,17 @@ def run_chain(model, init: ShellState, sampler: str, num_moves, record_stride=1,
         evals_per_move=(driver.evals - evals_before) / num_moves,
         meta={"sampler": sampler, "beta": config.beta},
     )
+
+
+def burn_in_moves(fraction, moves, name="burn_in_fraction"):
+    """The unrecorded moves before a chain of ``moves`` recorded ones;
+    ``ConfigurationError`` names ``name`` when ``fraction * moves`` is not
+    finite."""
+    burn_in = fraction * moves
+    if not math.isfinite(burn_in):
+        raise ConfigurationError(
+            f"{name} {fraction} times {moves} moves is not finite")
+    return int(round(burn_in))
 
 
 @dataclass(frozen=True)

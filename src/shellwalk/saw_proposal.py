@@ -185,6 +185,8 @@ class TreeWalkEngine:
         self.state = state
         self.gamma = gamma
         self.evals = 0
+        # a disagreeing bit's spin: -1.0 where the reference bit is 1
+        self._disagree_spin = [1.0 - 2.0 * r for r in state.reference]
         self._local = None
         self.sync()
 
@@ -236,23 +238,23 @@ class TreeWalkEngine:
         # bit i's field is untouched by its own flip (no self-couplings)
         field_i = local[i] + fields[i]
         state.flip(i, 2.0 * spins[i] * field_i)
-        pos = state._pos
-        d = state.distance
+        disagree_spin = self._disagree_spin
         s_new = spins[i]
         step = 2.0 * s_new
         neighbors = model.adjacency[i]
         for j, coupling in neighbors:
             local[j] = local_j = local[j] + step * coupling
-            nodes = toward if pos[j] < d else away
+            s_j = spins[j]
+            nodes = toward if s_j == disagree_spin[j] else away
             p = base + j
-            nodes[p] = exp(neg_gamma * spins[j] * (local_j + fields[j]))
+            nodes[p] = exp(neg_gamma * s_j * (local_j + fields[j]))
             p >>= 1
             while p:
                 nodes[p] = nodes[2 * p] + nodes[2 * p + 1]
                 p >>= 1
         # bit i moves from one candidate set to the other: both trees climb
         # from its leaf together
-        old, new = (away, toward) if pos[i] < d else (toward, away)
+        old, new = (away, toward) if s_new == disagree_spin[i] else (toward, away)
         p = base + i
         old[p] = 0.0
         new[p] = exp(neg_gamma * s_new * field_i)
@@ -305,8 +307,11 @@ class ScanWalkEngine:
         self.state = state
         self.gamma = gamma
         self.evals = 0
-        self._nbr_idx, self._nbr_coup = model.neighbor_arrays()
-        self._fields = model.fields_array()
+        self._nbr_idx = [np.array([j for j, _ in row], dtype=np.intp)
+                         for row in model.adjacency]
+        self._nbr_coup = [np.array([c for _, c in row], dtype=np.float64)
+                          for row in model.adjacency]
+        self._fields = np.array(model.fields, dtype=np.float64)
         # gamma * rho, rho = 2 * reference - 1: a disagreeing bit's spin is -rho
         self._gamma_rho = gamma * (2.0 * np.array(state.reference, dtype=np.float64) - 1.0)
         # skip the per-step shift when no flip can push exp() near overflow

@@ -164,6 +164,17 @@ class TestSample:
                 "--trials", 2, "--seed", 7, "--debug", "--out", "runs")
         assert trace_digests(tmp_path / "runs") == FLOAT_TRACE_DIGESTS
 
+    @pytest.mark.parametrize("args", [
+        ("--sampler", "metropolis", "--n", 0),
+        ("--sampler", "im", "--n", 2, "--k", 5),
+    ])
+    def test_refused_configuration_writes_nothing(self, small_model, tmp_path,
+                                                  args):
+        out = tmp_path / "o"
+        assert run_cli("sample", "--model", small_model, "--beta", 0.4,
+                       "--moves", 10, *args, "--out", out) == 1
+        assert not out.exists()
+
     def test_bad_model_values_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"num_vars": 2, "edges": [[0, 1, Infinity]], '
@@ -380,8 +391,8 @@ class TestExperiment:
 
 
 @pytest.mark.parametrize("command", ["sample", "experiment"])
-@pytest.mark.parametrize("fraction", ["-0.5", "inf"])
-def test_bad_burn_in_fraction(small_model, tmp_path, command, fraction):
+@pytest.mark.parametrize("fraction", ["-0.5", "inf", "1e308"])
+def test_bad_burn_in_fraction(small_model, tmp_path, capsys, command, fraction):
     if command == "sample":
         args = ("sample", "--model", small_model, "--sampler", "im",
                 "--beta", 0.4, "--n", 4, "--moves", 200)
@@ -390,4 +401,7 @@ def test_bad_burn_in_fraction(small_model, tmp_path, command, fraction):
                 "--workers", 1)
     assert run_cli(*args, "--burn-in-fraction", fraction,
                    "--out", tmp_path / "o") == 1
+    # the flag, or the preset_config argument for an overflowing product
+    assert "burn-in-fraction" in capsys.readouterr().err.replace("_", "-")
     assert not list(tmp_path.rglob("trace_*.csv"))
+    assert not (tmp_path / "o").exists()

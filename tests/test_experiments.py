@@ -62,13 +62,26 @@ class TestPresetConfig:
         with pytest.raises(ConfigurationError):
             preset_config("ferro2d", "galactic")
 
-    @pytest.mark.parametrize("fraction", [-2, -0.5, float("inf"), float("nan")])
+    @pytest.mark.parametrize("fraction",
+                             [-2, -0.5, float("inf"), float("nan"), 1e308])
     def test_bad_burn_in_fraction(self, tmp_path, fraction):
         out = tmp_path / "out"
         out.mkdir()
         with pytest.raises(ConfigurationError, match="burn_in_fraction"):
             run_experiment("glass3d", out_dir=out, trials=1, seed=1, im_moves=40,
                            burn_in_fraction=fraction)
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("name, value", [
+        ("im_moves", 0), ("fair_ratio", 0), ("max_lag", 0), ("max_lag", -1),
+    ])
+    def test_bad_counts_write_nothing(self, tmp_path, name, value):
+        out = tmp_path / "out"
+        out.mkdir()
+        kwargs = dict(trials=1, seed=1, im_moves=40)
+        kwargs[name] = value
+        with pytest.raises(ConfigurationError, match=name):
+            run_experiment("glass3d", out_dir=out, **kwargs)
         assert list(out.iterdir()) == []
 
     def test_build_model_counts(self):
@@ -111,6 +124,24 @@ TRACE_FILE_DIGESTS = {
     },
 }
 
+# sha256 of every file but the model and the traces (pinned above) of a
+# two-trial desk run: the ACF tables, both figures, the summary and the
+# manifest
+GLASS_OUTPUT_DIGESTS = {
+    "acf_im.csv":
+        "1c3f20d61e2b54f66eb4221ec0a4652353b118e36fbb4f5aca84db20416997a1",
+    "acf_metropolis.csv":
+        "8293775f3c999c01fb9cde36817eaf4b54372807ee046088ad871bdb91f92770",
+    "acf_overlay.svg":
+        "540772059da0c92f8cbc78118fbac84cbae9fdf15f8aaa61e4b0f4550c708ca9",
+    "energy_overlay.svg":
+        "6b3570a52198908bbe8daae04f2367a8c1e3adebc4bdc47d6435b94736d559cb",
+    "manifest.json":
+        "bd4ace4c8ef61670005dc1ffef4a635438776629d43c6b7bfe17fd86dd441581",
+    "summary.json":
+        "7da1f0dba72c0d53f4d91ac326ba918fa811d6949c4e939a7a4887bdd5067a9f",
+}
+
 
 class TestRunExperiment:
     def test_small_run_outputs(self, tmp_path):
@@ -143,6 +174,13 @@ class TestRunExperiment:
                        im_moves=400)
         digests = digest_directory(tmp_path)
         for name, digest in TRACE_FILE_DIGESTS[preset].items():
+            assert digests[name] == digest, name
+
+    def test_output_files_are_pinned(self, tmp_path):
+        run_experiment("glass3d", scale="desk", out_dir=tmp_path, trials=2,
+                       seed=4, im_moves=300)
+        digests = digest_directory(tmp_path)
+        for name, digest in GLASS_OUTPUT_DIGESTS.items():
             assert digests[name] == digest, name
 
     def test_rerun_is_byte_identical(self, tmp_path):

@@ -111,7 +111,7 @@ class TestFlip:
         assert bits == [1, 0, 0, 1] and bits is not state.bits
         bits[0] = 0  # a caller's copy, not the state
         assert state.bits == [1, 0, 0, 1]
-        assert len(state.checkpoint()) == 5
+        assert len(state.checkpoint()) == 3
 
     @given(st.integers(0, 6), st.lists(st.integers(0, 1), min_size=7, max_size=7))
     @settings(max_examples=40, deadline=None)

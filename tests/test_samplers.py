@@ -249,6 +249,28 @@ class TestMetropolisSampler:
         assert len(recomputed) == adjacent
         assert state.energy == pytest.approx(model.energy(state.bits), abs=1e-9)
 
+    @pytest.mark.parametrize("flipped_first", [False, True])
+    def test_slot_order_tracks_the_partition(self, flipped_first):
+        # swaps of graph neighbors occur on this grid; the sampler draws
+        # slots directly, so the slot list is all it keeps
+        model = grid2d(4, 0.37, 0.11)
+        rng = chain_rng(21)
+        state = random_shell_state(model, ShellConstraint((0,) * 16, 6), rng,
+                                   audit=True)
+        if flipped_first:
+            state.flip(state.disagree_indices()[-1])
+            state.flip(state.agree_indices()[0])
+        sampler = MetropolisSampler(model, state, MetropolisConfig(beta=0.5), rng=rng)
+        slots = sampler._slots
+        assert slots == state.disagree_indices() + state.agree_indices()
+        adjacent = 0
+        for _ in range(2000):
+            accepted, (i, j) = sampler.step()
+            adjacent += accepted and any(nb == j for nb, _ in model.adjacency[i])
+        assert adjacent > 0
+        assert sorted(slots[:state.distance]) == state.disagree_indices()
+        assert sorted(slots) == list(range(16))
+
     def test_empty_side_rejected(self):
         model = free_model(4)
         rng = chain_rng(0)
