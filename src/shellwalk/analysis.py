@@ -1,4 +1,5 @@
-"""Energy-trace statistics: autocorrelation on a compute axis, plots.
+"""Energy-trace statistics: autocorrelation on a compute axis, plots, and
+the writers of the ACF outputs, JSON files and manifests.
 
 Comparing samplers with different per-move costs is only fair on a common
 compute axis: each sampler's ACF stays on its own recorded grid, and its lag
@@ -7,7 +8,10 @@ unit (its cost per sample over the dearest sampler's) scales the lags.
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from xml.sax.saxutils import escape as _xml_escape
 
@@ -21,6 +25,10 @@ LAG_UNIT_TOLERANCE = 0.05
 
 BOOTSTRAP_RESAMPLES = 10_000
 BOOTSTRAP_SEED = 0
+
+ACF_TABLE = "acf_{sampler}.csv"
+ACF_OVERLAY = "acf_overlay.svg"
+MANIFEST = "manifest.json"
 
 
 @dataclass
@@ -224,6 +232,53 @@ def write_acf_csv(curve: AcfCurve, path):
         )
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
+
+
+def write_acf_outputs(out_dir, groups, max_lag, title, labels=None):
+    """Write each sampler's ACF table and their overlay into ``out_dir``.
+
+    ``groups`` maps a sampler to ``(traces, lag_unit)``; a sampler gets
+    ``max_lag / lag_unit`` lags, fewer (with a note on stderr) when its
+    shortest trace cuts them. ``labels`` names the overlay's curves (default:
+    the sampler names). Returns ``{sampler: (curve, per_trial)}``.
+    """
+    acfs = {}
+    for sampler, (traces, unit) in sorted(groups.items()):
+        # the slack keeps a quotient that lands just below an integer from
+        # losing a lag
+        lags = math.floor(max_lag / unit + 1e-9)
+        curve, per_trial = trial_acf(traces, lags, unit,
+                                     (labels or {}).get(sampler, sampler))
+        used = len(curve.mean) - 1
+        if used < lags:
+            shortest = min(traces, key=len)
+            print(f"note: {sampler}: shortest trace {shortest.meta['path']} has "
+                  f"{len(shortest)} rows, so its lags stop at {used}, not "
+                  f"{lags}", file=sys.stderr)
+        write_acf_csv(curve, os.path.join(out_dir, ACF_TABLE.format(sampler=sampler)))
+        acfs[sampler] = (curve, per_trial)
+    svg = emit_svg([curve_from_acf(curve) for curve, _ in acfs.values()],
+                   title=title, x_label="compute-normalized lag", y_label="ACF")
+    with open(os.path.join(out_dir, ACF_OVERLAY), "w", encoding="utf-8") as fh:
+        fh.write(svg)
+    return acfs
+
+
+def json_text(doc):
+    """``doc`` as JSON with sorted keys, indent 1 and a final newline."""
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def write_json(path, doc):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json_text(doc))
+
+
+def write_manifest(out_dir, files, **fields):
+    """Write the manifest of ``out_dir``: ``fields`` plus the ``files`` list,
+    which ends with the manifest itself."""
+    entry = {"path": MANIFEST, "kind": "manifest", "params": {}}
+    write_json(os.path.join(out_dir, MANIFEST), {**fields, "files": files + [entry]})
 
 
 # deterministic, dependency-free SVG emission

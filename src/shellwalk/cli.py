@@ -16,7 +16,6 @@ variable; every command is deterministic given its flags and seed.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -57,7 +56,6 @@ from .samplers import (
     burn_in_moves,
     chain_rng,
     random_shell_state,
-    write_trace_csv,
 )
 from .saw_proposal import SawParams, propose
 
@@ -92,17 +90,6 @@ def _nonnegative_fraction(text):
     if not (math.isfinite(value) and value >= 0.0):
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
     return value
-
-
-def _write_manifest(out_dir, command, files, params):
-    doc = {
-        "command": command,
-        "params": params,
-        "files": files + [{"path": "manifest.json", "kind": "manifest", "params": {}}],
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 def cmd_gen(args):
@@ -159,18 +146,16 @@ def cmd_sample(args):
             chain_index=trial,
         )
         record = spec.run(model, audit=args.debug)
-        meta = spec.trace_meta(record, args.model)
-        name = f"trace_{args.sampler}_{trial:03d}.csv"
         # after the first chain's sampler accepted the configuration
         os.makedirs(args.out, exist_ok=True)
-        write_trace_csv(record, os.path.join(args.out, name), meta)
+        name = spec.write_trace(record, args.out, args.model)
         files.append({"path": name, "kind": "trace",
                       "params": {"sampler": args.sampler, "trial": trial}})
         print(
             f"{name}: {len(record)} recorded moves, acceptance "
             f"{record.acceptance_rate:.3f}"
         )
-    _write_manifest(args.out, "sample", files, {
+    analysis.write_manifest(args.out, files, command="sample", params={
         "model": args.model, "sampler": args.sampler, "beta": args.beta,
         "gamma": gamma, "n": n, "moves": args.moves, "trials": args.trials,
         "stride": args.stride, "seed": args.seed,
@@ -218,39 +203,23 @@ def cmd_analyze(args):
         units = {sampler: cost / reference for sampler, cost in costs.items()}
     os.makedirs(args.out, exist_ok=True)
 
+    # --max-lag counts samples of the dearest sampler
+    acfs = analysis.write_acf_outputs(
+        args.out, {sampler: (traces, units[sampler])
+                   for sampler, traces in groups.items()},
+        args.max_lag, "energy autocorrelation (compute-fair)")
     files = []
-    curves = []
-    for sampler, traces in sorted(groups.items()):
-        unit = units[sampler]
-        # --max-lag counts samples of the dearest sampler; the slack keeps a
-        # quotient that lands just below an integer from losing a lag
-        max_lag = math.floor(args.max_lag / unit + 1e-9)
-        curve, _ = analysis.trial_acf(traces, max_lag, unit, sampler)
-        used = len(curve.mean) - 1
-        if used < max_lag:
-            shortest = min(traces, key=len)
-            print(f"note: {sampler}: shortest trace {shortest.meta['path']} has "
-                  f"{len(shortest)} rows, so its lags stop at {used}, not "
-                  f"{max_lag}", file=sys.stderr)
-        curves.append(curve)
-        name = f"acf_{sampler}.csv"
-        analysis.write_acf_csv(curve, os.path.join(args.out, name))
-        files.append({"path": name, "kind": "acf",
-                      "params": {"sampler": sampler, "trials": len(traces),
+    for sampler, (curve, _) in acfs.items():
+        unit = curve.lag_unit
+        files.append({"path": analysis.ACF_TABLE.format(sampler=sampler),
+                      "kind": "acf",
+                      "params": {"sampler": sampler, "trials": curve.num_trials,
                                  "lag_unit": unit}})
         tau = analysis.integrated_time(curve) * unit
-        print(f"{sampler}: {len(traces)} trace(s), lag unit {unit:.6g}, "
+        print(f"{sampler}: {curve.num_trials} trace(s), lag unit {unit:.6g}, "
               f"tau_int {tau:.2f} (compute-normalized lags)")
-    svg = analysis.emit_svg(
-        [analysis.curve_from_acf(c) for c in curves],
-        title="energy autocorrelation (compute-fair)",
-        x_label="compute-normalized lag",
-        y_label="ACF",
-    )
-    with open(os.path.join(args.out, "acf_overlay.svg"), "w", encoding="utf-8") as fh:
-        fh.write(svg)
-    files.append({"path": "acf_overlay.svg", "kind": "figure", "params": {}})
-    _write_manifest(args.out, "analyze", files, {
+    files.append({"path": analysis.ACF_OVERLAY, "kind": "figure", "params": {}})
+    analysis.write_manifest(args.out, files, command="analyze", params={
         "traces": list(args.traces), "max_lag": args.max_lag,
         "fair_ratio": args.fair_ratio,
     })
@@ -333,11 +302,9 @@ def cmd_verify(args):
         key for key, bound in VERIFY_THRESHOLDS.items() if report[key] > bound
     ]
     report["passed"] = not failures
-    text = json.dumps(report, indent=1, sort_keys=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    print(text)
+        analysis.write_json(args.out, report)
+    sys.stdout.write(analysis.json_text(report))
     if failures:
         print(f"verification FAILED: {', '.join(failures)}", file=sys.stderr)
         return EXIT_VERIFY

@@ -12,7 +12,6 @@ either sampler stands for the same amount of compute.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -25,11 +24,13 @@ import numpy as np
 from . import analysis
 from .errors import ConfigurationError
 from .generators import cube3d_pm_j, grid2d, rbm_gabor, save_model
-from .samplers import ChainSpec, burn_in_moves, write_trace_csv
+from .samplers import ChainSpec, burn_in_moves
 
 SCALES = ("paper", "desk")
 PRESET_NAMES = ("ferro2d", "glass3d", "rbm")
 SAMPLERS = ("im", "metropolis")
+# the samplers' names in the figures
+LABELS = {"im": "walk sampler", "metropolis": "metropolis"}
 
 CRITICAL_BETA = 1.0 / 2.27
 
@@ -129,13 +130,18 @@ def preset_config(preset, scale, seed=0, trials=10, im_moves=None,
         spec["im_moves"] = int(im_moves)
     if fair_ratio is not None:
         spec["fair_ratio"] = int(fair_ratio)
+    # each chain records im_moves rows, and an ACF needs 2 rows past its lag
     recorded = spec["im_moves"]
     if max_lag is None:
-        max_lag = max(10, min(recorded // 5, 2000))
-    for name, value in (("im_moves", recorded), ("fair_ratio", spec["fair_ratio"]),
-                        ("max_lag", max_lag)):
-        if value < 1:
-            raise ConfigurationError(f"{name} must be >= 1, got {value}")
+        max_lag = min(max(10, recorded // 5), 2000, recorded - 2)
+    for name, value, least in (("im_moves", recorded, 3),
+                               ("fair_ratio", spec["fair_ratio"], 1),
+                               ("max_lag", max_lag, 1)):
+        if value < least:
+            raise ConfigurationError(f"{name} must be >= {least}, got {value}")
+    if max_lag > recorded - 2:
+        raise ConfigurationError(f"max_lag {max_lag} needs im_moves >= "
+                                 f"{max_lag + 2}, got im_moves {recorded}")
     # the Metropolis chain is the longer one
     burn_in_moves(burn_in_fraction, recorded * spec["fair_ratio"])
     return ExperimentConfig(
@@ -240,19 +246,21 @@ def run_config(config: ExperimentConfig, out_dir=".", workers=1,
         for spec, record in zip(specs, chains):
             if progress:
                 progress(spec)
-            name = f"trace_{spec.sampler}_{spec.trial:03d}.csv"
-            path = os.path.join(out_dir, name)
-            meta = spec.trace_meta(record, "model.json")
             # one recorded sample of either sampler = fair_ratio Metropolis moves
-            meta["cost_per_sample"] = float(config.fair_ratio)
-            write_trace_csv(record, path, meta)
+            name = spec.write_trace(record, out_dir, "model.json",
+                                    cost_per_sample=float(config.fair_ratio))
             produced.append({"path": name, "kind": "trace",
                              "params": {"sampler": spec.sampler, "trial": spec.trial,
                                         "moves": spec.moves, "stride": spec.stride}})
-            traces[spec.sampler].append(
-                analysis.EnergyTrace(record.energies, {"path": path}))
+            traces[spec.sampler].append(analysis.EnergyTrace(
+                record.energies, {"path": os.path.join(out_dir, name)}))
             records[spec.sampler].append(record)
 
+    # one lag of either sampler = one recorded sample
+    acfs = analysis.write_acf_outputs(
+        out_dir, {sampler: (traces[sampler], 1.0) for sampler in SAMPLERS},
+        config.max_lag, f"{config.preset} ({config.scale}): energy autocorrelation",
+        LABELS)
     summary = {
         "preset": config.preset,
         "scale": config.scale,
@@ -260,30 +268,22 @@ def run_config(config: ExperimentConfig, out_dir=".", workers=1,
         "lag_unit": f"{config.fair_ratio} metropolis moves (= 1 walk move)",
         "samplers": {},
     }
-    curves = {}
-    for sampler in SAMPLERS:
-        group = traces[sampler]
-        curve, per_trial = analysis.trial_acf(group, config.max_lag, 1.0, sampler)
-        curves[sampler] = curve
-        acf_path = f"acf_{sampler}.csv"
-        analysis.write_acf_csv(curve, os.path.join(out_dir, acf_path))
-        produced.append({"path": acf_path, "kind": "acf",
+    for sampler, (curve, per_trial) in acfs.items():
+        chains = records[sampler]
+        produced.append({"path": analysis.ACF_TABLE.format(sampler=sampler),
+                         "kind": "acf",
                          "params": {"sampler": sampler,
                                     "trials": config.trials,
                                     "max_lag": len(curve.lags) - 1}})
         taus = [analysis.integrated_time(c) for c in per_trial]
         final_quarter = [
-            float(np.mean(t.energies[3 * len(t) // 4 :])) for t in group
+            float(np.mean(t.energies[3 * len(t) // 4 :])) for t in traces[sampler]
         ]
         summary["samplers"][sampler] = {
-            "moves_per_trial": int(records[sampler][0].num_moves),
+            "moves_per_trial": int(chains[0].num_moves),
             "record_stride": int(config.fair_ratio if sampler == "metropolis" else 1),
-            "acceptance_rate_mean": float(
-                np.mean([r.acceptance_rate for r in records[sampler]])
-            ),
-            "evals_per_move_mean": float(
-                np.mean([r.evals_per_move for r in records[sampler]])
-            ),
+            "acceptance_rate_mean": float(np.mean([r.acceptance_rate for r in chains])),
+            "evals_per_move_mean": float(np.mean([r.evals_per_move for r in chains])),
             "tau_int": [float(t) for t in taus],
             "tau_int_mean": float(np.mean(taus)),
             "acf_drop_lag": _first_drop_lag(curve),
@@ -295,25 +295,14 @@ def run_config(config: ExperimentConfig, out_dir=".", workers=1,
         / summary["samplers"]["im"]["tau_int_mean"]
     )
 
-    analysis.check_lag_units(list(curves.values()))
-    overlay = analysis.emit_svg(
-        [analysis.curve_from_acf(curves["im"], "walk sampler"),
-         analysis.curve_from_acf(curves["metropolis"], "metropolis")],
-        title=f"{config.preset} ({config.scale}): energy autocorrelation",
-        x_label="compute-normalized lag",
-        y_label="ACF",
-    )
-    with open(os.path.join(out_dir, "acf_overlay.svg"), "w", encoding="utf-8") as fh:
-        fh.write(overlay)
-    produced.append({"path": "acf_overlay.svg", "kind": "figure",
+    produced.append({"path": analysis.ACF_OVERLAY, "kind": "figure",
                      "params": {"curves": ["im", "metropolis"]}})
 
     energy_curves = []
-    for sampler, label in (("im", "walk sampler"), ("metropolis", "metropolis")):
-        record = records[sampler][0]
-        x = np.arange(len(record.energies), dtype=np.float64)
-        energy_curves.append(analysis.PlotCurve(label=label, x=x,
-                                                y=record.energies))
+    for sampler, label in LABELS.items():
+        energies = records[sampler][0].energies
+        energy_curves.append(analysis.PlotCurve(
+            label, np.arange(len(energies), dtype=np.float64), energies))
     energy_svg = analysis.emit_svg(
         energy_curves,
         title=f"{config.preset} ({config.scale}): energy trajectory, trial 0",
@@ -325,20 +314,9 @@ def run_config(config: ExperimentConfig, out_dir=".", workers=1,
     produced.append({"path": "energy_overlay.svg", "kind": "figure",
                      "params": {"curves": ["im", "metropolis"], "trial": 0}})
 
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    analysis.write_json(os.path.join(out_dir, "summary.json"), summary)
     produced.append({"path": "summary.json", "kind": "summary", "params": {}})
-
-    manifest = {
-        "preset": config.preset,
-        "scale": config.scale,
-        "seed": config.seed,
-        "trials": config.trials,
-        "files": produced + [{"path": "manifest.json", "kind": "manifest",
-                              "params": {}}],
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    analysis.write_manifest(out_dir, produced, preset=config.preset,
+                            scale=config.scale, seed=config.seed,
+                            trials=config.trials)
     return summary

@@ -65,7 +65,6 @@ class ExactShell:
 
     states: tuple
     probabilities: np.ndarray
-    log_z: float
     index: dict
 
 
@@ -73,16 +72,11 @@ def exact_distribution(model: IsingModel, beta, states):
     """Boltzmann weights over the enumerated states, subtract-max stabilized."""
     energies = np.array([model.energy(list(s)) for s in states], dtype=np.float64)
     logits = -beta * energies
-    top = float(logits.max())
-    weights = np.exp(logits - top)
-    total = float(weights.sum())
-    probs = weights / total
-    log_z = top + math.log(total)
+    weights = np.exp(logits - logits.max())
     index = {bits_key(s): row for row, s in enumerate(states)}
     return ExactShell(
         states=tuple(states),
-        probabilities=probs,
-        log_z=log_z,
+        probabilities=weights / weights.sum(),
         index=index,
     )
 

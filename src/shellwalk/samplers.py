@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -345,9 +346,11 @@ class ChainSpec:
             config=config, rng=rng, burn_in=self.burn_in,
         )
 
-    def trace_meta(self, record: ChainRecord, model_path):
-        """The trace header of this chain's ``record``."""
-        return {
+    def write_trace(self, record: ChainRecord, out_dir, model_path, **extra):
+        """Write this chain's ``record`` to its trace file in ``out_dir``, with
+        ``extra`` added to the header; returns the file name."""
+        name = f"trace_{self.sampler}_{self.trial:03d}.csv"
+        write_trace_csv(record, os.path.join(out_dir, name), {
             "model": model_path,
             "sampler": self.sampler,
             "beta": self.beta,
@@ -364,7 +367,9 @@ class ChainSpec:
             "engine": self.engine if self.sampler == "im" else "-",
             "evals_per_move": record.evals_per_move,
             "acceptance_rate": record.acceptance_rate,
-        }
+            **extra,
+        })
+        return name
 
 
 TRACE_META_ORDER = (

@@ -83,6 +83,19 @@ FLOAT_TRACE_DIGESTS = {
 }
 
 
+# sha256 of the analyze directory of test_overlay_outputs_are_pinned: an
+# overlay of walk and Metropolis sample traces at --fair-ratio 10
+ANALYZE_DIGESTS = {
+    "acf_im.csv":
+        "3628b168b339745d29af162e3ff428d161a3813ff66d6bcfaa048697a3cbc481",
+    "acf_metropolis.csv":
+        "dfc54d7d898f886f4fd46901ef385e38c4df617b641169c0cc0348df7e8c9987",
+    "acf_overlay.svg":
+        "eb0be61fd9d3aa33b42463836b6fd33579dfb135a47a12c09172089844974245",
+    "manifest.json":
+        "38cd501740a6699e9ace300ffb4fb3c60fae5535126ce8c2340ad65bc7d3a07a",
+}
+
 def trace_digests(directory):
     return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
@@ -212,6 +225,19 @@ class TestAnalyze:
         assert (out / "acf_overlay.svg").exists()
         header = (out / "acf_im.csv").read_text().splitlines()[0]
         assert header == "lag,mean,variance"
+
+    def test_overlay_outputs_are_pinned(self, small_model, tmp_path,
+                                        monkeypatch):
+        traces = self.make_traces(small_model, tmp_path)
+        # relative trace paths keep the manifest free of the temporary
+        # directory
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("analyze", *[t.relative_to(tmp_path) for t in traces],
+                       "--max-lag", 50, "--fair-ratio", 10, "--out", "acf") == 0
+        assert {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (tmp_path / "acf").iterdir()
+        } == ANALYZE_DIGESTS
 
     def test_identical_inputs_identical_curves(self, small_model, tmp_path):
         traces = self.make_traces(small_model, tmp_path)
@@ -355,6 +381,7 @@ class TestVerify:
         assert report["max_db_gap"] <= 1e-12
         assert report["max_pathwise_gap"] <= 1e-10
         assert report["tv"] <= 0.02
+        assert report_path.read_bytes() == captured.out.encode()
 
     def test_corruption_injection_fails(self, tmp_path):
         code = run_cli("verify", "--pathwise-moves", 200,
@@ -375,6 +402,30 @@ class TestExperiment:
         assert (out / "summary.json").exists()
         assert (out / "acf_overlay.svg").exists()
         assert len(list(out.glob("trace_*.csv"))) == 4
+
+    def test_short_run_caps_the_default_lag(self, tmp_path, capsys):
+        # 5 recorded rows per chain: the longest lag that fits is 3
+        out = tmp_path / "exp"
+        assert run_cli("experiment", "glass3d", "--trials", 1, "--im-moves", 5,
+                       "--workers", 1, "--out", out) == 0
+        for name in ("acf_im.csv", "acf_metropolis.csv"):
+            assert acf_lags(out / name) == [0.0, 1.0, 2.0, 3.0]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"]["max_lag"] == 3
+        assert "note" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, named", [
+        (("--im-moves", 2), ("im_moves", "2")),
+        (("--im-moves", 5, "--max-lag", 4), ("max_lag 4", "im_moves 5")),
+    ], ids=["im-moves-2", "max-lag-past-trace"])
+    def test_lag_past_the_trace_is_refused(self, tmp_path, capsys, args, named):
+        out = tmp_path / "exp"
+        out.mkdir()
+        assert run_cli("experiment", "glass3d", "--trials", 1, "--workers", 1,
+                       *args, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert all(text in err for text in named), err
+        assert list(out.iterdir()) == []
 
     def test_unknown_preset(self, tmp_path):
         assert run_cli("experiment", "quantum", "--out", tmp_path / "x") == 1

@@ -124,22 +124,58 @@ TRACE_FILE_DIGESTS = {
     },
 }
 
-# sha256 of every file but the model and the traces (pinned above) of a
-# two-trial desk run: the ACF tables, both figures, the summary and the
-# manifest
-GLASS_OUTPUT_DIGESTS = {
-    "acf_im.csv":
-        "1c3f20d61e2b54f66eb4221ec0a4652353b118e36fbb4f5aca84db20416997a1",
-    "acf_metropolis.csv":
-        "8293775f3c999c01fb9cde36817eaf4b54372807ee046088ad871bdb91f92770",
-    "acf_overlay.svg":
-        "540772059da0c92f8cbc78118fbac84cbae9fdf15f8aaa61e4b0f4550c708ca9",
-    "energy_overlay.svg":
-        "6b3570a52198908bbe8daae04f2367a8c1e3adebc4bdc47d6435b94736d559cb",
-    "manifest.json":
-        "bd4ace4c8ef61670005dc1ffef4a635438776629d43c6b7bfe17fd86dd441581",
-    "summary.json":
-        "7da1f0dba72c0d53f4d91ac326ba918fa811d6949c4e939a7a4887bdd5067a9f",
+# sha256 of every file but the traces (pinned above) of a two-trial desk
+# run at seed 4 with 300 walk moves: the model, the ACF tables, both
+# figures, the summary and the manifest
+OUTPUT_DIGESTS = {
+    "ferro2d": {
+        "acf_im.csv":
+            "0a2eb8e5daef6801e44f88c1b11b0c93cf5fc059add505afd7915cee3e8da99c",
+        "acf_metropolis.csv":
+            "453fe4e2548d7e455799724f62213c09f0d15588e9a745c455708504f3feaf08",
+        "acf_overlay.svg":
+            "bddcaf381249a2087ad3e0a9213065c827756bf730c5e88cabe4bcaceba083d1",
+        "energy_overlay.svg":
+            "b3f4641613efe205e1b89518d20718cb5fb177eb9b65c59e74dae650971f8f9c",
+        "manifest.json":
+            "7f20988c664710aee1bd49d9f66bfb3bb7b96a3cb937678092bfa9d57b23a576",
+        "model.json":
+            "bb4c5b6b34e7877e080c9b424c8b453eca1e214d3e65bde186c95cab2ac24d13",
+        "summary.json":
+            "8308c111eebc350ff0fe1a20a18c228f1d1b96dfa314398cde935f67a6164945",
+    },
+    "glass3d": {
+        "acf_im.csv":
+            "1c3f20d61e2b54f66eb4221ec0a4652353b118e36fbb4f5aca84db20416997a1",
+        "acf_metropolis.csv":
+            "8293775f3c999c01fb9cde36817eaf4b54372807ee046088ad871bdb91f92770",
+        "acf_overlay.svg":
+            "540772059da0c92f8cbc78118fbac84cbae9fdf15f8aaa61e4b0f4550c708ca9",
+        "energy_overlay.svg":
+            "6b3570a52198908bbe8daae04f2367a8c1e3adebc4bdc47d6435b94736d559cb",
+        "manifest.json":
+            "bd4ace4c8ef61670005dc1ffef4a635438776629d43c6b7bfe17fd86dd441581",
+        "model.json":
+            "3435005436d2b774a9be4513a0ddf97d6b9b9d826b32d988cb13bba6bc247d5d",
+        "summary.json":
+            "7da1f0dba72c0d53f4d91ac326ba918fa811d6949c4e939a7a4887bdd5067a9f",
+    },
+    "rbm": {
+        "acf_im.csv":
+            "3daf15f4e04e160a8375c11f95c325b3845d0a3d4b5016b6583374962b59ce50",
+        "acf_metropolis.csv":
+            "f524b529b9bdcfab5dc69673c092c995fcc4e2a305aa6784af76a5b913be11e1",
+        "acf_overlay.svg":
+            "5be69f3ca4e7267eac5b83668da1cb9da90ace1f9e85e3ce4d51a929307b0f97",
+        "energy_overlay.svg":
+            "f5dc107d1f026ff3ddbdee41bfb852f2d55d0bf73483a2332628a7a0aac0ef5e",
+        "manifest.json":
+            "044044588d2ddb6da7dfc9fe22413d4f369210f32a468762473fe8c4d2f90ec2",
+        "model.json":
+            "ab9ea0f9f65b62dcc4aa9f9f002a3d95968e6de2ac2da14456c46c7f51279472",
+        "summary.json":
+            "243cf4d04d28b35f9cc5cba3bc3c82806afb19023476b00307fa347c598b0d2f",
+    },
 }
 
 
@@ -177,11 +213,13 @@ class TestRunExperiment:
             assert digests[name] == digest, name
 
     def test_output_files_are_pinned(self, tmp_path):
-        run_experiment("glass3d", scale="desk", out_dir=tmp_path, trials=2,
-                       seed=4, im_moves=300)
-        digests = digest_directory(tmp_path)
-        for name, digest in GLASS_OUTPUT_DIGESTS.items():
-            assert digests[name] == digest, name
+        for preset, pinned in OUTPUT_DIGESTS.items():
+            run_experiment(preset, scale="desk", out_dir=tmp_path / preset,
+                           trials=2, seed=4, im_moves=300)
+            digests = digest_directory(tmp_path / preset)
+            for name, digest in pinned.items():
+                assert digests[name] == digest, (preset, name)
+            assert {n for n in digests if not n.startswith("trace_")} == set(pinned)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         kwargs = dict(scale="desk", trials=2, seed=9, im_moves=100, max_lag=15)
