@@ -292,6 +292,12 @@ def _verify_tv(report, samples, seed):
 
 
 def cmd_verify(args):
+    # the battery takes about 30 s at its defaults: fail on a missing --out
+    # directory before running it
+    if args.out:
+        out_dir = os.path.dirname(args.out) or "."
+        if not os.path.isdir(out_dir):
+            raise FileNotFoundError(f"no such directory for --out: {out_dir!r}")
     report = {}
     _verify_kernel(report)
     _verify_pathwise(report, args.pathwise_moves, args.seed,
@@ -302,9 +308,10 @@ def cmd_verify(args):
         key for key, bound in VERIFY_THRESHOLDS.items() if report[key] > bound
     ]
     report["passed"] = not failures
+    # printed first, so a failed write still shows the report
+    sys.stdout.write(analysis.json_text(report))
     if args.out:
         analysis.write_json(args.out, report)
-    sys.stdout.write(analysis.json_text(report))
     if failures:
         print(f"verification FAILED: {', '.join(failures)}", file=sys.stderr)
         return EXIT_VERIFY

@@ -173,9 +173,9 @@ class TreeWalkEngine:
     Keeps two trees over all variables, one holding exp(-gamma * deltaE_i / 2)
     for currently disagreeing bits (candidates of toward-steps) and one for
     agreeing bits, plus the local fields sum_j J_ij s_j so a flip only touches
-    the flipped bit and its graph neighbors: O(degree * log M) per flip.
-    Every bit of a walk is flipped through ``flip``, which also flips the
-    bound state with the energy change read off the local field.
+    the flipped bit and its graph neighbors. Every bit of a walk is flipped
+    through ``flip``, which also flips the bound state with the energy change
+    read off the local field.
     """
 
     kind = "tree"
@@ -221,10 +221,18 @@ class TreeWalkEngine:
         self.evals += num
 
     def flip(self, i):
-        """Flip bit ``i`` of the bound state and refresh what the flip touches:
-        each touched leaf is written into its tree's nodes and its ancestors
-        recomputed by ``WeightedIndexTree.update``'s own rule, so every node
-        equals a fresh build's from the same leaves."""
+        """Flip bit ``i`` of the bound state and refresh what the flip touches.
+
+        A neighbour j's climb stops below its junction, the lowest ancestor
+        its leaf shares with bit i's: ``(base + j) >> (i ^ j).bit_length()``.
+        Bit i's climb runs last and rewrites its whole path in both trees,
+        every junction included. Each climb carries the running sum, the
+        value just written plus its sibling: bit for bit the fresh build's
+        left + right, as IEEE addition commutes. Any later climb that changes
+        a node's subtree passes through that node again, so every node is
+        rewritten after all the changes beneath it and equals a fresh
+        ``WeightedIndexTree`` build's from the same leaves.
+        """
         model = self.model
         state = self.state
         spins = state.spins
@@ -247,22 +255,26 @@ class TreeWalkEngine:
             s_j = spins[j]
             nodes = toward if s_j == disagree_spin[j] else away
             p = base + j
-            nodes[p] = exp(neg_gamma * s_j * (local_j + fields[j]))
-            p >>= 1
-            while p:
-                nodes[p] = nodes[2 * p] + nodes[2 * p + 1]
+            nodes[p] = v = exp(neg_gamma * s_j * (local_j + fields[j]))
+            # the parent lies below the junction while p > 2 * junction + 1
+            stop = (p >> (i ^ j).bit_length()) * 2 + 1
+            while p > stop:
+                v += nodes[p ^ 1]
                 p >>= 1
+                nodes[p] = v
         # bit i moves from one candidate set to the other: both trees climb
-        # from its leaf together
+        # from its leaf to the root together
         old, new = (away, toward) if s_new == disagree_spin[i] else (toward, away)
         p = base + i
-        old[p] = 0.0
-        new[p] = exp(neg_gamma * s_new * field_i)
-        p >>= 1
-        while p:
-            old[p] = old[2 * p] + old[2 * p + 1]
-            new[p] = new[2 * p] + new[2 * p + 1]
+        old[p] = v_old = 0.0
+        new[p] = v_new = exp(neg_gamma * s_new * field_i)
+        while p > 1:
+            q = p ^ 1
+            v_old += old[q]
+            v_new += new[q]
             p >>= 1
+            old[p] = v_old
+            new[p] = v_new
         self.evals += len(neighbors) + 1
         if state._flips % RESYNC_INTERVAL == 0:
             self.sync()

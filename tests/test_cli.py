@@ -383,6 +383,34 @@ class TestVerify:
         assert report["tv"] <= 0.02
         assert report_path.read_bytes() == captured.out.encode()
 
+    def test_missing_out_directory_runs_nothing(self, tmp_path, capsys,
+                                                monkeypatch):
+        def battery_ran(report):
+            raise AssertionError("the battery ran before --out was checked")
+
+        monkeypatch.setattr("shellwalk.cli._verify_kernel", battery_ran)
+        code = run_cli("verify", "--pathwise-moves", 10, "--tv-samples", 500,
+                       "--out", tmp_path / "nodir" / "r.json")
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("I/O error:")
+        assert "nodir" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_still_prints_the_report(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def refuse(path, doc):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr("shellwalk.analysis.write_json", refuse)
+        code = run_cli("verify", "--pathwise-moves", 10, "--tv-samples", 500,
+                       "--seed", 7, "--out", tmp_path / "r.json")
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("I/O error:")
+        assert set(json.loads(captured.out)) >= {"passed", "thresholds", "tv"}
+
     def test_corruption_injection_fails(self, tmp_path):
         code = run_cli("verify", "--pathwise-moves", 200,
                        "--tv-samples", 20000, "--seed", 7,

@@ -124,6 +124,16 @@ TRACE_FILE_DIGESTS = {
     },
 }
 
+# sha256 of both trace files of one paper-scale glass3d trial of 200 walk
+# moves at seed 4: M = 729 on a 1024-leaf sum tree, so 295 leaves are padding
+# and neighbours 81 apart meet a flipped bit's leaf-to-root path near the root
+PAPER_GLASS_TRACE_DIGESTS = {
+    "trace_im_000.csv":
+        "1219234e724a5ef4ff2a2cf375033fc3917e9dcf0f064a9fa5bf65dad9efcf42",
+    "trace_metropolis_000.csv":
+        "b75303b403e90b2e6b87a0d1aa1131c13f38ec86a52350099df7d4461c8a9b69",
+}
+
 # sha256 of every file but the traces (pinned above) of a two-trial desk
 # run at seed 4 with 300 walk moves: the model, the ACF tables, both
 # figures, the summary and the manifest
@@ -210,6 +220,13 @@ class TestRunExperiment:
                        im_moves=400)
         digests = digest_directory(tmp_path)
         for name, digest in TRACE_FILE_DIGESTS[preset].items():
+            assert digests[name] == digest, name
+
+    def test_paper_glass_traces_are_pinned(self, tmp_path):
+        run_experiment("glass3d", scale="paper", out_dir=tmp_path, trials=1,
+                       seed=4, im_moves=200, workers=1)
+        digests = digest_directory(tmp_path)
+        for name, digest in PAPER_GLASS_TRACE_DIGESTS.items():
             assert digests[name] == digest, name
 
     def test_output_files_are_pinned(self, tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from shellwalk import IsingModel, ShellConstraint, ShellState
 from shellwalk.errors import CoherenceError, ConfigurationError
-from shellwalk.generators import grid2d, rbm_gabor
+from shellwalk.generators import cube3d_pm_j, grid2d, rbm_gabor
 from shellwalk.samplers import ImConfig, ImSampler, random_shell_state
 from shellwalk.saw_proposal import (
     ORDER_DOWN_UP,
@@ -359,6 +359,25 @@ def assert_trees_are_exact(engine):
         assert other[j] == 0.0
 
 
+def float_ring(num_vars, seed):
+    """A periodic chain with a non-integer coupling and random fields."""
+    rng = np.random.default_rng(seed)
+    edges = [(i, (i + 1) % num_vars, 0.43) for i in range(num_vars)]
+    return IsingModel(num_vars, edges, rng.uniform(-0.4, 0.4, num_vars).tolist())
+
+
+# Layouts where a neighbour's leaf meets a flipped bit's leaf at many tree
+# levels: wrap edges of a periodic cube (125 of 128 leaves); a grid that
+# fills its tree (M = 16 leaves); a 17-bit ring on a 32-leaf tree, whose
+# wrap edge 0-16 meets only at the root; a one-level tree of 2 bits.
+JUNCTION_LAYOUTS = {
+    "cube5-periodic": lambda: cube3d_pm_j(5, 13, periodic=True),
+    "grid4": lambda: grid2d(4, 0.37, 0.11),
+    "ring17": lambda: float_ring(17, 5),
+    "pair": lambda: IsingModel(2, [(0, 1, 0.61)], [0.2, -0.35]),
+}
+
+
 class TestFusedFlip:
     @pytest.fixture(params=[RESYNC_INTERVAL, 7], ids=["default", "resync-7"])
     def resync(self, request, monkeypatch):
@@ -391,6 +410,34 @@ class TestFusedFlip:
         # at interval 7, a resync falls inside most walks of 2 to 12 flips
         assert rejected >= 50
         assert sampler.state._flips >= 1000
+
+    @pytest.mark.parametrize("layout", sorted(JUNCTION_LAYOUTS))
+    def test_random_flips_keep_trees_exact_at_every_junction(self, resync, layout):
+        model = JUNCTION_LAYOUTS[layout]()
+        num = model.num_vars
+        rng = np.random.default_rng(29)
+        state = random_shell_state(model, ShellConstraint((0,) * num, num // 2), rng)
+        engine = TreeWalkEngine(model, state, gamma=0.8)
+        for step in range(1, 1001):
+            engine.flip(int(rng.integers(0, num)))
+            if step % 125 == 0:
+                assert_trees_are_exact(engine)
+
+    @pytest.mark.parametrize("layout", sorted(JUNCTION_LAYOUTS))
+    def test_rejected_walks_keep_trees_exact_at_every_junction(self, resync, layout):
+        model = JUNCTION_LAYOUTS[layout]()
+        num = model.num_vars
+        rng = np.random.default_rng(31)
+        state = random_shell_state(model, ShellConstraint((0,) * num, num // 2), rng)
+        config = ImConfig(beta=1.2, saw=SawParams(gamma=0.8, k_min=1, k_max=6),
+                          engine="tree")
+        sampler = ImSampler(model, state, config, rng=rng)
+        rejected = 0
+        for _ in range(200):
+            accepted, _ = sampler.step()
+            rejected += not accepted
+            assert_trees_are_exact(sampler.engine)
+        assert rejected >= 10
 
 
 def draws_of_one_move(rng, params, k, step):
