@@ -306,10 +306,16 @@ class TreeWalkEngine:
 class ScanWalkEngine:
     """Per-step candidate scan for dense models or extreme exponents.
 
-    Keeps the local fields as a vector and reads spins from the bound state;
-    every step recomputes all flip energy changes in O(M) (cached until the
-    next flip, so the reverse-factor lookup after a flip reuses the scan of
-    the next sampling step). ``flip`` also flips the bound state.
+    Keeps the local fields as a vector and one per-bit copy of the state's
+    partition, ``side``: +1.0 for a disagreeing bit (a toward candidate),
+    -1.0 for an agreeing one. Spins are read from the bound state; ``flip``
+    also flips it. Per state, the first ``sample`` or ``log_prob`` computes
+    every bit's logit as a candidate of its own side,
+    ``z = side * (gamma * rho * (local + fields))``, in O(M), and when no
+    flip can push exp() near overflow, its weights ``w = exp(z)`` in the
+    same pass: one exp per state, shared by the next step's draw and the
+    reverse-factor lookup just before it. Both are cached until the next
+    flip, restore or resync.
     """
 
     kind = "scan"
@@ -332,7 +338,7 @@ class ScanWalkEngine:
         self.sync()
 
     def sync(self):
-        """Rebuild local fields and the partition mask from the bound state,
+        """Rebuild local fields and the side vector from the bound state,
         checking the old fields as ``TreeWalkEngine.sync`` does."""
         state = self.state
         spins = np.array(state.spins, dtype=np.float64)
@@ -344,71 +350,73 @@ class ScanWalkEngine:
                 local[i] = float(self._nbr_coup[i] @ spins[idx])
         check_local_fields(state, self._local, local)
         self._local = local
-        self._disagree = np.zeros(num, dtype=bool)
-        self._disagree[state.disagree_indices()] = True
-        self._logits = None
+        self._side = np.full(num, -1.0)
+        self._side[state.disagree_indices()] = 1.0
+        self._z = None
 
     def flip(self, i):
         """Flip bit ``i`` of the bound state and its neighbors' local fields."""
         state = self.state
         s = state.spins[i]
-        state.flip(i, 2.0 * s * (float(self._local[i]) + float(self._fields[i])))
+        state.flip(i, 2.0 * s * (self._local.item(i) + self._fields.item(i)))
         idx = self._nbr_idx[i]
         if idx.size:
             self._local[idx] += -2.0 * s * self._nbr_coup[i]
-        self._disagree[i] = not self._disagree[i]
-        self._logits = None
+        self._side[i] = -self._side.item(i)
+        self._z = None
         if state._flips % RESYNC_INTERVAL == 0:
             self.sync()
 
     def checkpoint(self):
-        """Copies of the bound state, local fields and partition mask."""
-        return (self.state.checkpoint(), self._local.copy(), self._disagree.copy())
+        """Copies of the bound state, local fields and side vector."""
+        return (self.state.checkpoint(), self._local.copy(), self._side.copy())
 
     def restore(self, saved):
         """Return the bound state and the engine in place to a ``checkpoint``."""
-        state, self._local[:], self._disagree[:] = saved
+        state, self._local[:], self._side[:] = saved
         self.state.restore(state)
-        self._logits = None
+        self._z = None
 
-    def _candidate_logits(self, toward):
-        # -gamma * deltaE / 2 of every bit as a toward candidate, cached until
-        # the next flip; an away candidate's logit is its negation. Sign flips
-        # are exact: these are the doubles of -gamma * (s * (L + h)).
-        logits = self._logits
-        if logits is None:
-            logits = self._logits = self._gamma_rho * (self._local + self._fields)
-        if toward:
-            idx = np.nonzero(self._disagree)[0]
-            z = logits[idx]
-        else:
-            idx = np.nonzero(~self._disagree)[0]
-            z = -logits[idx]
+    def _weights(self, toward):
+        """One side's candidates, ascending, every bit's logit, and the
+        side's exponent shift and candidate weights.
+
+        A bit's logit is -gamma * deltaE / 2 as a candidate of its own side;
+        multiplying by ``side`` negates an agreeing bit's toward logit
+        exactly. exp works element by element, so ``_w[idx]`` holds the
+        doubles of ``exp(z[idx])``, and ``exp(z - 0.0)`` those of ``exp(z)``.
+        """
+        z = self._z
+        if z is None:
+            z = self._z = self._side * (self._gamma_rho * (self._local + self._fields))
+            if not self._may_overflow:
+                self._w = np.exp(z)
+        idx = ((self._side > 0.0) if toward else (self._side < 0.0)).nonzero()[0]
         self.evals += idx.size
-        shift = float(z.max()) if self._may_overflow and z.size else 0.0
-        return idx, z, shift
+        if not self._may_overflow:
+            return idx, z, 0.0, self._w[idx]
+        compact = z[idx]
+        shift = compact.max().item() if idx.size else 0.0
+        return idx, z, shift, np.exp(compact - shift)
 
     def sample(self, toward, u):
-        idx, z, shift = self._candidate_logits(toward)
+        idx, z, shift, weights = self._weights(toward)
         if idx.size == 0:
             raise ValueError("candidate set is empty")
-        weights = np.exp(z - shift)
-        cumulative = np.cumsum(weights)
-        total = cumulative[-1]
-        pos = min(int(np.searchsorted(cumulative, u * total, side="right")),
+        cumulative = weights.cumsum()
+        total = cumulative.item(-1)
+        pos = min(int(cumulative.searchsorted(u * total, side="right")),
                   idx.size - 1)
-        while weights[pos] <= 0.0 and pos > 0:
+        while weights.item(pos) <= 0.0 and pos > 0:
             pos -= 1
-        log_prob = float(z[pos] - shift) - math.log(float(total))
-        return int(idx[pos]), log_prob
+        i = idx.item(pos)
+        return i, (z.item(i) - shift) - math.log(total)
 
     def log_prob(self, toward, i):
-        if bool(self._disagree[i]) != toward:
+        if (self._side.item(i) > 0.0) != toward:
             return NEG_INF
-        idx, z, shift = self._candidate_logits(toward)
-        total = float(np.exp(z - shift).sum())
-        z_i = float(self._logits[i]) if toward else -float(self._logits[i])
-        return (z_i - shift) - math.log(total)
+        _, z, shift, weights = self._weights(toward)
+        return (z.item(i) - shift) - math.log(np.add.reduce(weights).item())
 
 
 def draw_move_shape(params, rng, distance, num_vars):

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import itertools
 import math
 
@@ -12,6 +13,8 @@ from shellwalk.errors import CoherenceError, ConfigurationError
 from shellwalk.generators import cube3d_pm_j, grid2d, rbm_gabor
 from shellwalk.samplers import ImConfig, ImSampler, random_shell_state
 from shellwalk.saw_proposal import (
+    MAX_SAFE_EXPONENT,
+    NEG_INF,
     ORDER_DOWN_UP,
     ORDER_UP_DOWN,
     RESYNC_INTERVAL,
@@ -333,6 +336,186 @@ class TestEngines:
                        rng, engine="scan")
         assert math.isfinite(move.log_fwd)
         assert math.isfinite(move.log_rev)
+
+
+def chorded_ring(seed, scale, field_scale, strong=None):
+    """A 16-bit ring with the 8 chords (i, i + 8), couplings drawn
+    N(0, scale) and fields N(0, field_scale), and a random reference; the
+    chord (0, 8) is set to ``strong`` when given."""
+    rng = np.random.default_rng(seed)
+    pairs = [(i, (i + 1) % 16) for i in range(16)] + [(i, i + 8) for i in range(8)]
+    couplings = rng.normal(0.0, scale, len(pairs))
+    if strong is not None:
+        couplings[16] = strong
+    edges = [(i, j, float(c)) for (i, j), c in zip(pairs, couplings)]
+    model = IsingModel(16, edges, rng.normal(0.0, field_scale, 16).tolist())
+    return model, tuple(int(b) for b in rng.integers(0, 2, 16))
+
+
+# Models whose flip bound passes MAX_SAFE_EXPONENT at gamma = 1, so the scan
+# engine shifts every step's exponents by their maximum
+SHIFTED_MODELS = {
+    # nearly deterministic steps; most weights underflow after the shift
+    "wild": lambda: chorded_ring(5, 300.0, 50.0),
+    # one bond of 700 among unit-scale ones: moderate shifts, busy walks
+    "strong-bond": lambda: chorded_ring(2, 1.0, 0.5, strong=700.0),
+}
+
+# sha256 of the walks, log_fwd and log_rev (as float.hex) of 200
+# propose(..., engine="scan") calls at gamma = 1, k from 1 to 3, random
+# order, each move accepted or rejected by Metropolis at beta = 1
+SHIFTED_SCAN_DIGESTS = {
+    "strong-bond":
+        "3bf4d6f6fe65beca4dc6f07f5f5e989a2ffebe52e4efbc4086e548470e5040f2",
+    "wild":
+        "21326e1822fe570573f22dc9f59270537120fd6b47a31963f0c60b825247709d",
+}
+
+
+def shifted_scan_digest(name):
+    model, reference = SHIFTED_MODELS[name]()
+    rng = np.random.default_rng(7)
+    state = random_shell_state(model, ShellConstraint(reference, 8), rng)
+    params = SawParams(gamma=1.0, k_min=1, k_max=3, order_policy="random")
+    digest = hashlib.sha256()
+    for _ in range(200):
+        move = propose(model, state, params, rng, engine="scan")
+        digest.update(f"{move.first_walk} {move.second_walk} {move.log_fwd.hex()} "
+                      f"{move.log_rev.hex()}\n".encode())
+        log_alpha = state.energy - move.proposed.energy + move.log_rev - move.log_fwd
+        if math.log(rng.random()) < log_alpha:
+            state = move.proposed
+    return digest.hexdigest()
+
+
+def reference_candidates(engine, toward):
+    """One side's candidates, logits and shift, by the per-side formula:
+    the compact logits of that side and, when a flip could overflow exp(),
+    their maximum as the shift."""
+    state = engine.state
+    rho = 2.0 * np.array(state.reference, dtype=np.float64) - 1.0
+    fields = np.array(engine.model.fields, dtype=np.float64)
+    logits = (engine.gamma * rho) * (engine._local + fields)
+    idx = np.array(state.disagree_indices() if toward else state.agree_indices(),
+                   dtype=np.intp)
+    z = logits[idx] if toward else -logits[idx]
+    overflow = 0.5 * engine.gamma * engine.model.max_flip_delta() > MAX_SAFE_EXPONENT
+    shift = float(z.max()) if overflow and z.size else 0.0
+    return idx, z, shift
+
+
+def reference_sample(engine, toward, u):
+    idx, z, shift = reference_candidates(engine, toward)
+    weights = np.exp(z - shift)
+    cumulative = np.cumsum(weights)
+    total = cumulative[-1]
+    pos = min(int(np.searchsorted(cumulative, u * total, side="right")),
+              idx.size - 1)
+    while weights[pos] <= 0.0 and pos > 0:
+        pos -= 1
+    return int(idx[pos]), float(z[pos] - shift) - math.log(float(total))
+
+
+def reference_log_prob(engine, toward, i):
+    idx, z, shift = reference_candidates(engine, toward)
+    candidates = idx.tolist()
+    if i not in candidates:
+        return NEG_INF
+    pos = candidates.index(i)
+    total = float(np.exp(z - shift).sum())
+    return float(z[pos] - shift) - math.log(total)
+
+
+class TestScanExactDoubles:
+    """The scan engine's draws and log probabilities are the doubles of the
+    per-side formula, with or without the exponent shift."""
+
+    MODELS = {
+        "rbm-desk": lambda: (rbm_gabor(64, 32, seed=4),
+                             tuple(np.random.default_rng(4).integers(0, 2, 96).tolist())),
+        **SHIFTED_MODELS,
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_sample_and_log_prob_match_reference(self, name):
+        model, reference = self.MODELS[name]()
+        num = model.num_vars
+        rng = np.random.default_rng(41)
+        state = random_shell_state(model, ShellConstraint(reference, num // 3), rng)
+        engine = ScanWalkEngine(model, state, gamma=0.8 if name == "rbm-desk" else 1.0)
+        assert engine._may_overflow == (name != "rbm-desk")
+        for _ in range(40):
+            for toward in (True, False):
+                size = state.distance if toward else num - state.distance
+                if size:
+                    u = float(rng.random())
+                    evals = engine.evals
+                    assert engine.sample(toward, u) == reference_sample(engine, toward, u)
+                    assert engine.evals - evals == size
+            for i in rng.permutation(num)[:24].tolist():
+                for toward in (False, True):
+                    evals = engine.evals
+                    assert engine.log_prob(toward, i) == reference_log_prob(
+                        engine, toward, i)
+                    own_side = state.in_disagree(i) == toward
+                    size = state.distance if toward else num - state.distance
+                    assert engine.evals - evals == (size if own_side else 0)
+            engine.flip(int(rng.integers(0, num)))
+
+    @pytest.mark.parametrize("name", sorted(SHIFTED_SCAN_DIGESTS))
+    def test_shifted_walks_are_pinned(self, name):
+        assert shifted_scan_digest(name) == SHIFTED_SCAN_DIGESTS[name]
+
+
+def dyadic_grid():
+    """A 4x4 grid whose coupling and field are exact binary fractions, so
+    local fields kept by incremental updates equal a fresh build's."""
+    return grid2d(4, 0.375, 0.125)
+
+
+def assert_scan_matches_fresh(engine):
+    """The next sample and every log_prob equal a fresh engine's on a copy."""
+    fresh = ScanWalkEngine(engine.model, engine.state.copy(), engine.gamma)
+    assert engine._local.tolist() == fresh._local.tolist()
+    num, distance = engine.model.num_vars, engine.state.distance
+    for toward in (True, False):
+        if (distance if toward else num - distance):
+            for u in (0.0, 0.37, 0.999):
+                assert engine.sample(toward, u) == fresh.sample(toward, u)
+        for i in range(num):
+            assert engine.log_prob(toward, i) == fresh.log_prob(toward, i)
+
+
+class TestScanCacheCoherence:
+    @pytest.fixture(params=[RESYNC_INTERVAL, 7], ids=["default", "resync-7"])
+    def resync(self, request, monkeypatch):
+        monkeypatch.setattr("shellwalk.saw_proposal.RESYNC_INTERVAL",
+                            request.param)
+        return request.param
+
+    def test_after_restore_and_resync(self, resync):
+        model = dyadic_grid()
+        rng = np.random.default_rng(43)
+        state = random_shell_state(model, ShellConstraint((0,) * 16, 7), rng)
+        config = ImConfig(beta=1.2, saw=SawParams(gamma=0.8, k_min=1, k_max=5),
+                          engine="scan")
+        sampler = ImSampler(model, state, config, rng=rng)
+        rejected = 0
+        for _ in range(300):
+            accepted, _ = sampler.step()
+            rejected += not accepted
+            assert_scan_matches_fresh(sampler.engine)
+        assert rejected >= 100
+        assert sampler.state._flips >= 1000
+
+    def test_random_flips(self, resync):
+        model = dyadic_grid()
+        rng = np.random.default_rng(47)
+        state = random_shell_state(model, ShellConstraint((0,) * 16, 7), rng)
+        engine = ScanWalkEngine(model, state, gamma=0.8)
+        for _ in range(200):
+            engine.flip(int(rng.integers(0, 16)))
+            assert_scan_matches_fresh(engine)
 
 
 def field_grid(seed):
