@@ -30,6 +30,47 @@ def chain_rng(master_seed, chain_index=0):
     return np.random.default_rng(seq)
 
 
+class BitDraws:
+    """``int(rng.integers(0, n))`` and ``rng.random()`` without numpy's
+    per-call overhead: the same values, drawn from the same stream.
+
+    ``below(n)`` is numpy's 32-bit Lemire draw (Lemire 2019, *Fast random
+    integer generation in an interval*): the high word of
+    ``next_uint32 * n``, redrawn while the low word falls below
+    ``(2**32 - n) % n``. Its values are numpy's for 1 <= n <= 2**32 only;
+    ``n == 1`` consumes nothing, as in numpy. ``uniform()`` is the bit
+    generator's ``next_double``, which ``rng.random()`` returns. Both call
+    the generator's own functions on its own state through its ctypes
+    interface, so its 32-bit buffer and every later draw of ``rng`` stay as
+    numpy's calls would leave them. No lock is taken: one chain owns its
+    generator, as everywhere in this package.
+    """
+
+    __slots__ = ("_rng", "_state", "_next_uint32", "_next_double")
+
+    def __init__(self, rng):
+        interface = rng.bit_generator.ctypes
+        self._rng = rng  # the interface holds raw pointers into it
+        self._state = interface.state
+        self._next_uint32 = interface.next_uint32
+        self._next_double = interface.next_double
+
+    def below(self, n):
+        """A uniform integer in [0, n), for 1 <= n <= 2**32."""
+        if n == 1:
+            return 0
+        m = self._next_uint32(self._state) * n
+        if m & 0xFFFFFFFF < n:
+            threshold = (0x100000000 - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._next_uint32(self._state) * n
+        return m >> 32
+
+    def uniform(self):
+        """A uniform double in [0, 1)."""
+        return self._next_double(self._state)
+
+
 def random_shell_state(model, constraint: ShellConstraint, rng, audit=False):
     """Uniform draw from the shell via a partial Fisher-Yates selection."""
     num = constraint.num_vars
@@ -38,9 +79,10 @@ def random_shell_state(model, constraint: ShellConstraint, rng, audit=False):
             f"model has {model.num_vars} variables, constraint has {num}"
         )
     n = constraint.distance
+    below = BitDraws(rng).below
     idx = list(range(num))
     for t in range(n):
-        r = t + int(rng.integers(0, num - t))
+        r = t + below(num - t)
         idx[t], idx[r] = idx[r], idx[t]
     bits = list(constraint.reference)
     for t in range(n):
@@ -161,9 +203,10 @@ class MetropolisSampler:
     both, and accepts with min(1, exp(-beta * deltaE)). The energy change is
     evaluated exactly, including the coupling correction when the two bits are
     graph neighbors. Random stream order per move: disagree pick, agree pick,
-    accept uniform. An accepted swap hands each bit's energy change to
-    ``ShellState.flip``, except the second bit's when the two are neighbors,
-    since the first flip changes its field.
+    accept uniform, all three through ``BitDraws``, so they are the values
+    ``rng.integers`` and ``rng.random`` would give. An accepted swap hands
+    each bit's energy change to ``ShellState.flip``, except the second bit's
+    when the two are neighbors, since the first flip changes its field.
 
     The picks index the sampler's own slot order, a permutation of the bits
     with the ``distance`` disagreeing ones first, built ascending on each
@@ -187,6 +230,7 @@ class MetropolisSampler:
         self.state = state
         self.config = config
         self.rng = rng if rng is not None else np.random.default_rng(config.seed)
+        self._draws = BitDraws(self.rng)
         self.shell_distance = n
         agree, disagree = state.partition()
         self._slots = disagree + agree
@@ -197,11 +241,11 @@ class MetropolisSampler:
         """Attempt one swap; returns (accepted, (disagree_bit, agree_bit))."""
         state = self.state
         model = self.model
-        rng = self.rng
+        draws = self._draws
         slots = self._slots
         n = self.shell_distance
-        a = int(rng.integers(0, n))
-        b = n + int(rng.integers(0, len(slots) - n))
+        a = draws.below(n)
+        b = n + draws.below(len(slots) - n)
         i = slots[a]
         j = slots[b]
         spins = state.spins
@@ -223,7 +267,7 @@ class MetropolisSampler:
         log_alpha = -self.config.beta * delta
         if log_alpha > 0.0:
             log_alpha = 0.0
-        accepted = rng.random() < math.exp(log_alpha)
+        accepted = draws.uniform() < math.exp(log_alpha)
         if accepted:
             state.flip(i, delta_i)
             state.flip(j, None if adjacent else delta_j)

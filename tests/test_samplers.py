@@ -20,8 +20,9 @@ from shellwalk import (
 )
 from shellwalk.analysis import load_trace
 from shellwalk.errors import CoherenceError, ConfigurationError
-from shellwalk.generators import cube3d_pm_j, grid2d
+from shellwalk.generators import cube3d_pm_j, grid2d, rbm_gabor
 from shellwalk.oracle import check_pathwise_db
+from shellwalk.samplers import BitDraws
 from shellwalk.saw_proposal import propose
 
 
@@ -278,6 +279,154 @@ class TestMetropolisSampler:
             state = random_shell_state(model, ShellConstraint((0,) * 4, n), rng)
             with pytest.raises(ConfigurationError):
                 MetropolisSampler(model, state, MetropolisConfig(beta=1.0), rng=rng)
+
+
+BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox)
+
+
+def twin_generators(bit_generator, seed):
+    return (np.random.Generator(bit_generator(seed)),
+            np.random.Generator(bit_generator(seed)))
+
+
+def assert_same_stream(rng, twin):
+    """Both generators are at the same point of the same stream."""
+    assert repr(rng.bit_generator.state) == repr(twin.bit_generator.state)
+    assert rng.integers(0, 2**32, size=5, dtype=np.uint32).tolist() == \
+        twin.integers(0, 2**32, size=5, dtype=np.uint32).tolist()
+    assert rng.random(3).tolist() == twin.random(3).tolist()
+
+
+class TestBitDraws:
+    # 2**31 + 1 rejects about half of its words; 2**32 takes each word whole
+    RANGES = (1, 2, 3, 7, 729, 2**31 + 1, 2**32)
+
+    @pytest.mark.parametrize("odd_start", [False, True])
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    def test_values_and_stream_match_numpy(self, bit_generator, odd_start):
+        rng, twin = twin_generators(bit_generator, 13)
+        if odd_start:
+            for generator in (rng, twin):
+                generator.integers(0, 2**32, dtype=np.uint32)
+        if "has_uint32" in rng.bit_generator.state:
+            assert rng.bit_generator.state["has_uint32"] == odd_start
+        draws = BitDraws(twin)
+        order = np.random.default_rng(3)
+        for _ in range(3000):
+            pick = int(order.integers(0, len(self.RANGES) + 1))
+            if pick == len(self.RANGES):
+                assert draws.uniform() == rng.random()
+            else:
+                n = self.RANGES[pick]
+                assert draws.below(n) == int(rng.integers(0, n))
+        assert_same_stream(rng, twin)
+
+
+class ParentMetropolis:
+    """The pair swap as written with numpy's draws, kept as the reference
+    for ``MetropolisSampler``: same picks, neighbour sums and slot order."""
+
+    def __init__(self, model, state, beta, rng):
+        agree, disagree = state.partition()
+        self.model, self.state, self.beta, self.rng = model, state, beta, rng
+        self.slots = disagree + agree
+        self.shell_distance = state.distance
+
+    def step(self):
+        state = self.state
+        model = self.model
+        rng = self.rng
+        slots = self.slots
+        n = self.shell_distance
+        a = int(rng.integers(0, n))
+        b = n + int(rng.integers(0, len(slots) - n))
+        i = slots[a]
+        j = slots[b]
+        spins = state.spins
+        acc_i = model.fields[i]
+        coupling_ij = 0.0
+        adjacent = False
+        for nb, coupling in model.adjacency[i]:
+            acc_i += coupling * spins[nb]
+            if nb == j:
+                coupling_ij = coupling
+                adjacent = True
+        acc_j = model.fields[j]
+        for nb, coupling in model.adjacency[j]:
+            acc_j += coupling * spins[nb]
+        delta_i = 2.0 * spins[i] * acc_i
+        delta_j = 2.0 * spins[j] * acc_j
+        delta = delta_i + delta_j - 4.0 * spins[i] * spins[j] * coupling_ij
+        log_alpha = -self.beta * delta
+        if log_alpha > 0.0:
+            log_alpha = 0.0
+        accepted = rng.random() < math.exp(log_alpha)
+        if accepted:
+            state.flip(i, delta_i)
+            state.flip(j, None if adjacent else delta_j)
+            slots[a] = slots[n - 1]
+            slots[n - 1] = j
+            slots[b] = i
+        return accepted, (i, j)
+
+
+def parent_shell_bits(constraint, rng):
+    """The start state's bits as drawn with numpy's integers."""
+    num = constraint.num_vars
+    idx = list(range(num))
+    for t in range(constraint.distance):
+        r = t + int(rng.integers(0, num - t))
+        idx[t], idx[r] = idx[r], idx[t]
+    bits = list(constraint.reference)
+    for t in range(constraint.distance):
+        bits[idx[t]] ^= 1
+    return bits
+
+
+# name -> (model, reference, shell distance, beta)
+SWAP_MODELS = {
+    "rbm-desk": lambda: (rbm_gabor(64, 32, seed=4),
+                         tuple(np.random.default_rng(4).integers(0, 2, 96).tolist()),
+                         32, 1.0),
+    "glass3d-desk": lambda: (cube3d_pm_j(5, seed=2), (0,) * 125, 63, 1.0),
+    "grid4": lambda: (grid2d(4, 0.37, 0.11), (0,) * 16, 6, 0.5),
+    "grid4-n1": lambda: (grid2d(4, 0.37, 0.11), (0,) * 16, 1, 0.5),
+    "grid4-n15": lambda: (grid2d(4, 0.37, 0.11), (0,) * 16, 15, 0.5),
+}
+
+
+class TestSwapsMatchParent:
+    @pytest.mark.parametrize("name", sorted(SWAP_MODELS))
+    def test_swap_by_swap(self, name):
+        model, reference, n, beta = SWAP_MODELS[name]()
+        rng = chain_rng(31)
+        state = random_shell_state(model, ShellConstraint(reference, n), rng)
+        twin_rng = copy.deepcopy(rng)
+        twin = state.copy()
+        sampler = MetropolisSampler(model, state, MetropolisConfig(beta=beta), rng=rng)
+        parent = ParentMetropolis(model, twin, beta, twin_rng)
+        accepted_total = 0
+        for swap in range(1, 2001):
+            outcome = sampler.step()
+            assert outcome == parent.step()
+            assert state.energy == twin.energy
+            accepted_total += outcome[0]
+            assert sampler.evals == 2 * swap
+        assert 0 < accepted_total < 2000
+        assert sampler._slots == parent.slots
+        assert_same_stream(rng, twin_rng)
+
+    @pytest.mark.parametrize("name", ["glass3d-desk", "grid4", "rbm-desk"])
+    def test_start_state(self, name):
+        # at n = num the last pick has range 1 and consumes no draw
+        model, reference, _, _ = SWAP_MODELS[name]()
+        num = model.num_vars
+        for n in (0, 1, num // 2, num - 1, num):
+            constraint = ShellConstraint(reference, n)
+            rng, twin = twin_generators(np.random.PCG64, n)
+            state = random_shell_state(model, constraint, rng)
+            assert state.bits == parent_shell_bits(constraint, twin)
+            assert_same_stream(rng, twin)
 
 
 @pytest.mark.parametrize("sampler", ["im", "metropolis"])
