@@ -15,6 +15,7 @@ from .analysis import (
     integrated_time,
     load_trace,
     write_acf_csv,
+    write_trace_csv,
 )
 from .errors import (
     CoherenceError,
@@ -34,7 +35,7 @@ from .generators import (
     rbm_gabor,
     save_model,
 )
-from .model import IsingModel, ShellConstraint, ShellState, partition_sets
+from .model import IsingModel, ShellConstraint, ShellState
 from .oracle import (
     ExactImKernel,
     ExactShell,
@@ -56,7 +57,6 @@ from .samplers import (
     chain_rng,
     random_shell_state,
     run_chain,
-    write_trace_csv,
 )
 from .saw_proposal import (
     SawMove,

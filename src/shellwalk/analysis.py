@@ -1,5 +1,5 @@
-"""Energy-trace statistics: autocorrelation on a compute axis, plots, and
-the writers of the ACF outputs, JSON files and manifests.
+"""The trace format, energy-trace statistics (autocorrelation on a compute
+axis), plots, and the writers of the ACF outputs, JSON files and manifests.
 
 Comparing samplers with different per-move costs is only fair on a common
 compute axis: each sampler's ACF stays on its own recorded grid, and its lag
@@ -26,6 +26,13 @@ LAG_UNIT_TOLERANCE = 0.05
 BOOTSTRAP_RESAMPLES = 10_000
 BOOTSTRAP_SEED = 0
 
+# The column line between a trace's '# key=value' header and its rows.
+TRACE_COLUMNS = "step,energy,accepted,k"
+# Header keys written first, in this order; the rest follow sorted.
+TRACE_META_ORDER = (
+    "model", "sampler", "beta", "gamma", "seed", "moves", "stride",
+)
+
 ACF_TABLE = "acf_{sampler}.csv"
 ACF_OVERLAY = "acf_overlay.svg"
 MANIFEST = "manifest.json"
@@ -46,10 +53,38 @@ class EnergyTrace:
         return len(self.energies)
 
 
+def _format_value(value):
+    """A trace or table value as text: floats with 17 significant digits,
+    which read back as the same double; anything else through ``str``."""
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    return str(value)
+
+
+def write_trace_csv(record, path, meta=None):
+    """Serialize a ``ChainRecord`` in the trace format: '# key=value' comment
+    lines, then the ``TRACE_COLUMNS`` line and one row per recorded move."""
+    merged = {"moves": record.num_moves, **record.meta, **(meta or {})}
+    lines = []
+    for key in TRACE_META_ORDER:
+        if key in merged:
+            lines.append(f"# {key}={_format_value(merged.pop(key))}")
+    for key in sorted(merged):
+        lines.append(f"# {key}={_format_value(merged[key])}")
+    lines.append(TRACE_COLUMNS)
+    for step, energy, acc, k in zip(
+        record.steps, record.energies, record.accepted, record.ks
+    ):
+        lines.append(f"{int(step)},{_format_value(energy)},{int(acc)},{int(k)}")
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
 def load_trace(path):
-    """Read a trace CSV written by the samplers (# key=value, then rows); a
-    malformed header or row, or no rows at all, raise ``ModelFormatError``
-    naming the file and line."""
+    """Read a trace CSV written by ``write_trace_csv``; a malformed header or
+    row, or no rows at all, raise ``ModelFormatError`` naming the file and
+    line. The integer keys (moves, stride, seed, trial) must be spelled as
+    integers."""
     meta = {}
     lines = {}
     energies = []
@@ -67,7 +102,7 @@ def load_trace(path):
                     lines[key.strip()] = number
                 continue
             if not header_seen:
-                if line != "step,energy,accepted,k":
+                if line != TRACE_COLUMNS:
                     raise ModelFormatError(
                         f"{path}:{number}: unexpected header {line!r}"
                     )
@@ -90,7 +125,7 @@ def load_trace(path):
     for key, kind in numeric.items():
         if key in meta:
             try:
-                value = kind(float(meta[key]))
+                value = kind(meta[key])
                 # analyze divides by these two
                 positive = key in ("cost_per_sample", "stride")
                 if positive and not 0 < value < math.inf:
@@ -98,7 +133,7 @@ def load_trace(path):
             except (ValueError, OverflowError):
                 raise ModelFormatError(
                     f"{path}:{lines[key]}: header {key}={meta[key]!r} is not "
-                    "a valid number"
+                    f"a valid {'integer' if kind is int else 'number'}"
                 ) from None
             meta[key] = value
     meta["path"] = str(path)
@@ -211,14 +246,14 @@ def bootstrap_ratio_ci95(numerators, denominators):
     return float(low), float(high)
 
 
-def check_lag_units(curves, tolerance=LAG_UNIT_TOLERANCE):
+def check_lag_units(curves):
     """Refuse overlays whose compute-normalized lag units disagree."""
     units = [c.lag_unit for c in curves]
     reference = units[0]
     for unit in units[1:]:
-        if abs(unit - reference) > tolerance * reference:
+        if abs(unit - reference) > LAG_UNIT_TOLERANCE * reference:
             raise ValueError(
-                f"lag units differ by more than {tolerance:.0%}: {units}"
+                f"lag units differ by more than {LAG_UNIT_TOLERANCE:.0%}: {units}"
             )
 
 
@@ -226,10 +261,7 @@ def write_acf_csv(curve: AcfCurve, path):
     """lag,mean,variance rows with full (17 significant digit) precision."""
     lines = ["lag,mean,variance"]
     for lag, mean, var in zip(curve.lags, curve.mean, curve.variance):
-        lines.append(
-            f"{format(float(lag), '.17g')},{format(float(mean), '.17g')},"
-            f"{format(float(var), '.17g')}"
-        )
+        lines.append(",".join(map(_format_value, (lag, mean, var))))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -331,10 +363,10 @@ def curve_from_acf(curve: AcfCurve, label=None):
     )
 
 
-def emit_svg(curves, title="", x_label="", y_label="", bar_every=10):
+def emit_svg(curves, title="", x_label="", y_label=""):
     """Standalone SVG overlay of the given curves; byte-deterministic.
 
-    Vertical bars show the per-point spread at every ``bar_every``-th point.
+    Vertical bars show the per-point spread at every 10th point.
     """
     curves = list(curves)
     if not curves:
@@ -416,7 +448,7 @@ def emit_svg(curves, title="", x_label="", y_label="", bar_every=10):
             f'stroke-width="1.5"/>'
         )
         if curve.spread is not None:
-            for j in range(0, len(curve.x), bar_every):
+            for j in range(0, len(curve.x), 10):
                 s = float(curve.spread[j])
                 if s <= 0.0:
                     continue

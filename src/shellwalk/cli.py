@@ -75,7 +75,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _default_seed():
-    return int(os.environ.get("SHELLWALK_SEED", "0"))
+    text = os.environ.get("SHELLWALK_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigurationError(
+            f"SHELLWALK_SEED must be an integer, got {text!r}") from None
 
 
 def _positive_int(text):
@@ -454,9 +459,9 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        args.seed = _default_seed()
     try:
+        if getattr(args, "seed", None) is None and hasattr(args, "seed"):
+            args.seed = _default_seed()
         return args.func(args)
     except ModelFormatError as exc:
         print(f"file error: {exc}", file=sys.stderr)

@@ -200,8 +200,8 @@ def run_trial(config: ExperimentConfig, spec: ChainSpec):
     return spec.run(build_model(config))
 
 
-def _first_drop_lag(curve: analysis.AcfCurve, threshold=ACF_DROP_THRESHOLD):
-    below = np.nonzero(curve.mean < threshold)[0]
+def _first_drop_lag(curve: analysis.AcfCurve):
+    below = np.nonzero(curve.mean < ACF_DROP_THRESHOLD)[0]
     if below.size == 0:
         return float(curve.lags[-1] + curve.lag_unit)
     return float(curve.lags[int(below[0])])

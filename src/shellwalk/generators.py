@@ -2,8 +2,9 @@
 
 Three families: a ferromagnetic square grid, a +/-1 random-coupling cube, and
 a bipartite visible/hidden model whose couplings are randomly parameterized
-Gabor filters over the visible pixel grid. Grid and cube use open (free)
-boundaries by default; periodic boundaries are available behind a flag.
+Gabor filters over the visible pixel grid. Grid and cube take their
+nearest-neighbour edges from one lattice builder, with open (free)
+boundaries by default and periodic ones behind a flag.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -19,26 +21,41 @@ from .errors import ModelFormatError
 from .model import IsingModel
 
 
+def _lattice_edges(side, dims, periodic, coupling):
+    """Nearest-neighbour edges ``(i, j, coupling)``, ``i < j``, of a
+    ``side^dims`` lattice with row-major site numbering: site by site and,
+    per site, along the slowest-varying axis first. Periodic boundaries add
+    the wrap-around edges, for ``side > 2`` only: at side 2 they would
+    repeat an edge."""
+    if side < 1:
+        raise ValueError(f"side must be >= 1, got {side}")
+    wrap = periodic and side > 2
+    # per axis, slowest first: the stride between neighbours; the span of a
+    # block of sites that share every slower coordinate; and the offset,
+    # within a block, of the sites at the axis's last coordinate
+    axes = []
+    span = side ** dims
+    for _ in range(dims):
+        stride = span // side
+        axes.append((stride, span, span - stride))
+        span = stride
+    edges = []
+    add = edges.append
+    for v, (stride, span, last) in product(range(side ** dims), axes):
+        if v % span < last:
+            add((v, v + stride, coupling))
+        elif wrap:
+            add((v - last, v, coupling))
+    return edges
+
+
 def grid2d(side, coupling=1.0, field=0.0, periodic=False):
     """Square-lattice nearest-neighbor model with uniform coupling and field.
 
     Open boundaries give 2*side*(side-1) edges; periodic gives 2*side^2.
     """
-    if side < 1:
-        raise ValueError(f"side must be >= 1, got {side}")
+    edges = _lattice_edges(side, 2, periodic, coupling)
     num = side * side
-    edges = []
-    for r in range(side):
-        for c in range(side):
-            v = r * side + c
-            if c + 1 < side:
-                edges.append((v, v + 1, coupling))
-            elif periodic and side > 2:
-                edges.append((r * side, v, coupling))
-            if r + 1 < side:
-                edges.append((v, v + side, coupling))
-            elif periodic and side > 2:
-                edges.append((c, v, coupling))
     meta = {
         "generator": "grid2d",
         "side": side,
@@ -50,34 +67,13 @@ def grid2d(side, coupling=1.0, field=0.0, periodic=False):
 
 
 def cube3d_pm_j(side, seed, periodic=False):
-    """Cubic-lattice model with couplings drawn uniformly from {-1, +1}."""
-    if side < 1:
-        raise ValueError(f"side must be >= 1, got {side}")
+    """Cubic-lattice model with couplings drawn uniformly from {-1, +1}, one
+    per lattice edge in ``_lattice_edges`` order."""
+    lattice = _lattice_edges(side, 3, periodic, 0.0)
     num = side * side * side
-    pairs = []
-
-    def at(x, y, z):
-        return (x * side + y) * side + z
-
-    for x in range(side):
-        for y in range(side):
-            for z in range(side):
-                v = at(x, y, z)
-                if x + 1 < side:
-                    pairs.append((v, at(x + 1, y, z)))
-                elif periodic and side > 2:
-                    pairs.append((at(0, y, z), v))
-                if y + 1 < side:
-                    pairs.append((v, at(x, y + 1, z)))
-                elif periodic and side > 2:
-                    pairs.append((at(x, 0, z), v))
-                if z + 1 < side:
-                    pairs.append((v, at(x, y, z + 1)))
-                elif periodic and side > 2:
-                    pairs.append((at(x, y, 0), v))
     rng = np.random.default_rng(seed)
-    signs = rng.integers(0, 2, size=len(pairs)) * 2 - 1
-    edges = [(i, j, float(s)) for (i, j), s in zip(pairs, signs)]
+    signs = rng.integers(0, 2, size=len(lattice)) * 2 - 1
+    edges = [(i, j, float(s)) for (i, j, _), s in zip(lattice, signs)]
     meta = {"generator": "cube3d_pm_j", "side": side, "seed": seed, "periodic": periodic}
     return IsingModel(num, edges, [0.0] * num, meta)
 
@@ -200,9 +196,12 @@ def load_weights_csv(path):
             if not row:
                 continue
             try:
-                rows.append([float(x) for x in row])
+                values = [float(x) for x in row]
             except ValueError as exc:
                 raise ModelFormatError(f"row {line_no}: {exc}") from exc
+            if not all(map(math.isfinite, values)):
+                raise ModelFormatError(f"row {line_no} holds a non-finite weight")
+            rows.append(values)
     if not rows:
         raise ModelFormatError("weight file has no rows")
     width = len(rows[0])

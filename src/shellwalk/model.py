@@ -131,14 +131,17 @@ class IsingModel:
     @classmethod
     def from_dict(cls, data):
         """Build a model from the JSON object form, rejecting malformed input:
-        shape and types are checked here, values by the constructor."""
+        shape and types are checked here, values by the constructor.
+
+        Integers are tested with ``type(x) is int``: JSON true and false
+        parse to ``bool``, which ``isinstance`` counts as an ``int``."""
         if not isinstance(data, dict):
             raise ModelFormatError("model document must be a JSON object")
         for key in ("num_vars", "edges", "fields"):
             if key not in data:
                 raise ModelFormatError(f"missing required key {key!r}")
         num_vars = data["num_vars"]
-        if not isinstance(num_vars, int) or num_vars < 0:
+        if type(num_vars) is not int or num_vars < 0:
             raise ModelFormatError(f"num_vars must be a nonnegative integer, got {num_vars!r}")
         edges = data["edges"]
         if not isinstance(edges, list):
@@ -147,17 +150,17 @@ class IsingModel:
             if not (isinstance(entry, list) and len(entry) == 3):
                 raise ModelFormatError(f"edges[{row}] must be [i, j, J]")
             i, j, coupling = entry
-            if not isinstance(i, int) or not isinstance(j, int):
+            if type(i) is not int or type(j) is not int:
                 raise ModelFormatError(f"edges[{row}] endpoints must be integers")
             if i > j:
                 raise ModelFormatError(f"edges[{row}] must have i < j, got ({i}, {j})")
-            if not isinstance(coupling, (int, float)):
+            if not (isinstance(coupling, float) or type(coupling) is int):
                 raise ModelFormatError(f"edges[{row}] coupling must be a number")
         fields = data["fields"]
         if not isinstance(fields, list) or len(fields) != num_vars:
             raise ModelFormatError(f"fields must be an array of {num_vars} numbers")
         for i, h in enumerate(fields):
-            if not isinstance(h, (int, float)):
+            if not (isinstance(h, float) or type(h) is int):
                 raise ModelFormatError(f"fields[{i}] must be a number")
         meta = data.get("meta")
         if meta is not None and not isinstance(meta, dict):
@@ -166,21 +169,6 @@ class IsingModel:
             return cls(num_vars, edges, fields, meta)
         except ValueError as exc:
             raise ModelFormatError(str(exc)) from exc
-
-
-def partition_sets(bits, reference):
-    """Split indices into (agree, disagree) relative to the reference state."""
-    if len(bits) != len(reference):
-        raise ValueError(
-            f"state length {len(bits)} != reference length {len(reference)}"
-        )
-    agree, disagree = [], []
-    for i, (b, r) in enumerate(zip(bits, reference)):
-        if b == r:
-            agree.append(i)
-        else:
-            disagree.append(i)
-    return agree, disagree
 
 
 @dataclass(frozen=True)
@@ -209,7 +197,8 @@ class ShellState:
     and Hamming distance to a reference state.
 
     Which side of the agree/disagree partition a bit is on is read off its
-    spin and the reference; the index lists are derived on demand. The
+    spin and the reference; each side's index list is built on demand, in
+    one pass over ``spins`` and ``reference``. The
     cached energy is refreshed from scratch every ``ENERGY_REFRESH_INTERVAL``
     flips; with ``audit=True`` the refresh also asserts coherence of the
     cache, and the samplers check after every move that the state kept its
@@ -319,12 +308,12 @@ class ShellState:
 
     def disagree_indices(self):
         """Ascending indices where the state differs from the reference."""
-        return self.partition()[1]
+        ref = self.reference
+        return [i for i, s in enumerate(self.spins)
+                if (1 if s > 0.0 else 0) != ref[i]]
 
     def agree_indices(self):
         """Ascending indices where the state equals the reference."""
-        return self.partition()[0]
-
-    def partition(self):
-        """The (agree, disagree) index lists, each ascending."""
-        return partition_sets(self.bits, self.reference)
+        ref = self.reference
+        return [i for i, s in enumerate(self.spins)
+                if (1 if s > 0.0 else 0) == ref[i]]

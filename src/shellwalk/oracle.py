@@ -122,7 +122,7 @@ def _kernel_paths(num_states, num_vars, n, k, orders):
 
 
 def exact_im_kernel(model: IsingModel, beta, params: SawParams, constraint,
-                    states=None, budget=PATH_BUDGET):
+                    budget=PATH_BUDGET):
     """Enumerate every ordered walk pair from every shell state.
 
     Requires a fixed walk length (k_min == k_max). The enumeration replays
@@ -132,8 +132,7 @@ def exact_im_kernel(model: IsingModel, beta, params: SawParams, constraint,
     if params.k_min != params.k_max:
         raise ValueError("kernel enumeration requires a fixed walk length")
     k = params.k_min
-    if states is None:
-        states = enumerate_shell(constraint)
+    states = enumerate_shell(constraint)
     shell = exact_distribution(model, beta, states)
     num_states = len(states)
     num = model.num_vars

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analysis import write_trace_csv
 from .errors import CoherenceError, ConfigurationError
 from .model import IsingModel, ShellConstraint, ShellState
 from .saw_proposal import (
@@ -232,8 +233,7 @@ class MetropolisSampler:
         self.rng = rng if rng is not None else np.random.default_rng(config.seed)
         self._draws = BitDraws(self.rng)
         self.shell_distance = n
-        agree, disagree = state.partition()
-        self._slots = disagree + agree
+        self._slots = state.disagree_indices() + state.agree_indices()
         self.accepts = 0
         self.evals = 0
 
@@ -414,36 +414,3 @@ class ChainSpec:
             **extra,
         })
         return name
-
-
-TRACE_META_ORDER = (
-    "model", "sampler", "beta", "gamma", "seed", "moves", "stride",
-)
-
-
-def _format_value(value):
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
-def write_trace_csv(record: ChainRecord, path, meta=None):
-    """Serialize a record in the trace format: '# key=value' comment lines,
-    then a ``step,energy,accepted,k`` header and one row per recorded move."""
-    merged = dict(record.meta)
-    if meta:
-        merged.update(meta)
-    merged.setdefault("moves", record.num_moves)
-    lines = []
-    for key in TRACE_META_ORDER:
-        if key in merged:
-            lines.append(f"# {key}={_format_value(merged.pop(key))}")
-    for key in sorted(merged):
-        lines.append(f"# {key}={_format_value(merged[key])}")
-    lines.append("step,energy,accepted,k")
-    for step, energy, acc, k in zip(
-        record.steps, record.energies, record.accepted, record.ks
-    ):
-        lines.append(f"{int(step)},{format(float(energy), '.17g')},{int(acc)},{int(k)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")

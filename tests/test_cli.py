@@ -39,6 +39,15 @@ class TestGen:
         assert run_cli("gen", "rbm", "--weights", weights, "--out", out) == 0
         assert load_model(out).num_edges == 6
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_rbm_non_finite_weight_is_a_file_error(self, tmp_path, capsys, value):
+        weights = tmp_path / "w.csv"
+        weights.write_text(f"0.5,0.5,0.5\n-1,{value},1\n", encoding="utf-8")
+        out = tmp_path / "rbm.json"
+        assert run_cli("gen", "rbm", "--weights", weights, "--out", out) == 3
+        assert "file error: row 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_exit_code(self, tmp_path):
         assert run_cli("gen", "grid2d", "--side", 0,
                        "--out", tmp_path / "x.json") == 1
@@ -324,7 +333,13 @@ class TestAnalyze:
         ("# beta=\n# sampler=im\n", "bad.csv:1", "beta"),
         ("# sampler=im\n# stride=0\n", "bad.csv:2", "stride"),
         ("# sampler=im\n# cost_per_sample=inf\n", "bad.csv:2", "cost_per_sample"),
-    ], ids=["stride", "seed-inf", "beta-empty", "stride-0", "cost-inf"])
+        # integer keys must be spelled as integers
+        ("# sampler=im\n# stride=2.5\n", "bad.csv:2", "stride"),
+        ("# moves=1e3\n# sampler=im\n", "bad.csv:1", "moves"),
+        ("# sampler=im\n# seed=7.0\n", "bad.csv:2", "seed"),
+        ("# sampler=im\n# trial=0.5\n", "bad.csv:2", "trial"),
+    ], ids=["stride", "seed-inf", "beta-empty", "stride-0", "cost-inf",
+            "stride-fraction", "moves-exponent", "seed-float", "trial-fraction"])
     def test_bad_header_value_is_a_file_error(self, tmp_path, capsys, header,
                                               where, key):
         path = tmp_path / "bad.csv"
@@ -484,3 +499,22 @@ def test_bad_burn_in_fraction(small_model, tmp_path, capsys, command, fraction):
     assert "burn-in-fraction" in capsys.readouterr().err.replace("_", "-")
     assert not list(tmp_path.rglob("trace_*.csv"))
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "sample", "verify", "experiment"])
+def test_non_integer_env_seed_is_a_usage_error(small_model, tmp_path, capsys,
+                                               monkeypatch, command):
+    monkeypatch.setenv("SHELLWALK_SEED", "abc")
+    out = tmp_path / "o"
+    args = {
+        "gen": ("gen", "cube3d", "--side", 2),
+        "sample": ("sample", "--model", small_model, "--sampler", "im",
+                   "--beta", 0.4, "--n", 4, "--moves", 20),
+        "verify": ("verify",),
+        "experiment": ("experiment", "glass3d", "--trials", 1,
+                       "--im-moves", 50, "--workers", 1),
+    }[command]
+    assert run_cli(*args, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "error: SHELLWALK_SEED must be an integer, got 'abc'" in err
+    assert not out.exists()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -70,6 +71,50 @@ class TestCube3d:
         model = cube3d_pm_j(20, seed=1)
         fraction = sum(1 for _, _, c in model.edges if c > 0) / model.num_edges
         assert 0.48 <= fraction <= 0.52
+
+
+# sha256 of the saved model file of grid2d(side, 0.41, 0.07) and
+# cube3d_pm_j(side, seed=11), keyed by (generator, side, periodic)
+LATTICE_MODEL_DIGESTS = {
+    ("grid2d", 1, False): "4d1619ee67ed5ccc76fbdad22f4b0175aa95c4dde2d33c4d6abe8a7ac5b6ee23",
+    ("grid2d", 2, False): "b8627f905ef8f57ec198aab0115b203b1ac3f73b288cb3c6be4cb97330253858",
+    ("grid2d", 3, False): "8ad63e9c0c6b552dddc812e5c58fac56347bd8a7bf90ed8704dc6ea7947e865f",
+    ("grid2d", 4, False): "1cb66451bbee111cdcae845f315a3c5a6d249db44f4ddfbe9fef6e2e9d910e5e",
+    ("grid2d", 5, False): "b45bf1a32b3fde6ff68c21dd7ee0724683a981dd7fbdb1a1a6a4af50222e8e7d",
+    ("grid2d", 6, False): "d0d09add96a60b82edd59d87dcc9cba4780d7afc6b231802da6013ad17187c8c",
+    ("grid2d", 1, True): "0b2342a569d84c612a0d6bfc85110f02038bbcac8891a0a2f9eeddf1e49aa707",
+    ("grid2d", 2, True): "48502075ee6e87fcef77d4b5ffbcddb48cac7eccbfb2a07b7e532df09a52aade",
+    ("grid2d", 3, True): "ee8066a33163da7e25a4b5ab4319c89b2fb5c989662e4aec8d7a4beac47821c8",
+    ("grid2d", 4, True): "a9e22bd0b0162dcfb964aa53aae4d5633c0fe2acd727df2ba014a6e04a33e739",
+    ("grid2d", 5, True): "a7c3c3ce02710e7fc9e9826c93d02241d293630e40e66894c4672a68ac5fb9bd",
+    ("grid2d", 6, True): "04efd7a30d5454c453e6bfe8235ff0e5d436fddbe34d31ffd30105e2c54f3720",
+    ("cube3d_pm_j", 1, False): "40d2aa3f2240b7732364aa4b513f54f3d564148e15b8f34d59705ee13532ca77",
+    ("cube3d_pm_j", 2, False): "9a5332718707965661ecd147f51138f8ef57b91c8cf3e55a5145c338873bfe27",
+    ("cube3d_pm_j", 3, False): "aa01d0adef107b406a1558e80cd78032bd1a4464f1e26c09d93c666694cc4cd8",
+    ("cube3d_pm_j", 4, False): "ad9eec3b410d257d73a2f64deb7a1af38cde755db53d7750fa26c0358f3c27ae",
+    ("cube3d_pm_j", 5, False): "27b05780e3814092b853f9af4c78d5b634095644864ff20f46a5accf6a2c48a9",
+    ("cube3d_pm_j", 6, False): "1e4744a4a6b2dce21a27bba73c06031a722c6d89acf14738f47a065b09a90df0",
+    ("cube3d_pm_j", 1, True): "aac42d4581767402c088734c4892732a246267d6d099c0cad20d4f7a9a033ad0",
+    ("cube3d_pm_j", 2, True): "43e17186963893159ca5f0cd5323a2b47b04f0f9f7d8670b2d450c45cb1ecdf0",
+    ("cube3d_pm_j", 3, True): "fecac4afe4a788004b81c585b5eb4706eada290830769cf487c65b4dbec41099",
+    ("cube3d_pm_j", 4, True): "de1ecacf40ee6a5e81d56bd55710cd17717be1fba68223e42412439882e4f5dc",
+    ("cube3d_pm_j", 5, True): "23e8f46120d86358f511caeea3a7ece87c5ffd84db50461bb73233d0a88c80af",
+    ("cube3d_pm_j", 6, True): "c121055c2bfa5af412848a5394350979e2e016de2748a495e22fe4acc60b3612",
+}
+
+
+@pytest.mark.parametrize("generator, side, periodic", sorted(LATTICE_MODEL_DIGESTS))
+def test_lattice_model_files_are_pinned(tmp_path, generator, side, periodic):
+    # the cube's signs are drawn in lattice-edge order, so these also pin
+    # that order
+    if generator == "grid2d":
+        model = grid2d(side, 0.41, 0.07, periodic=periodic)
+    else:
+        model = cube3d_pm_j(side, seed=11, periodic=periodic)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == LATTICE_MODEL_DIGESTS[generator, side, periodic]
 
 
 class TestRbm:
@@ -184,7 +229,13 @@ class TestModelFiles:
         # type checks, made on the document
         {"num_vars": 2, "edges": [[0, 1, "1.0"]], "fields": [0.0, 0.0]},
         {"num_vars": 2, "edges": [[0.0, 1, 1.0]], "fields": [0.0, 0.0]},
-    ], ids=["infinite-coupling", "nan-field", "string-coupling", "float-endpoint"])
+        # JSON true/false parse to bool, which Python counts as an int
+        {"num_vars": True, "edges": [], "fields": [True]},
+        {"num_vars": 2, "edges": [[False, True, 1.0]], "fields": [0.0, 0.0]},
+        {"num_vars": 2, "edges": [[0, 1, True]], "fields": [0.0, 0.0]},
+        {"num_vars": 2, "edges": [], "fields": [0.0, False]},
+    ], ids=["infinite-coupling", "nan-field", "string-coupling", "float-endpoint",
+            "bool-num-vars", "bool-endpoints", "bool-coupling", "bool-field"])
     def test_rejects_bad_values_and_types(self, tmp_path, doc):
         with pytest.raises(ModelFormatError):
             load_model(self._write(tmp_path, doc))
@@ -208,6 +259,13 @@ class TestWeightsCsv:
         path = tmp_path / "w.csv"
         path.write_text("1,2,3\n1,2\n", encoding="utf-8")
         with pytest.raises(ModelFormatError, match="columns"):
+            load_weights_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite(self, tmp_path, value):
+        path = tmp_path / "w.csv"
+        path.write_text(f"1,2\n3,{value}\n", encoding="utf-8")
+        with pytest.raises(ModelFormatError, match="row 1"):
             load_weights_csv(path)
 
     def test_rejects_non_numeric(self, tmp_path):

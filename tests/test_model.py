@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shellwalk import IsingModel, ShellConstraint, ShellState, partition_sets
+from shellwalk import IsingModel, ShellConstraint, ShellState
 from shellwalk.errors import CoherenceError
 from shellwalk.generators import cube3d_pm_j, grid2d
 
@@ -135,10 +135,10 @@ class TestFlip:
             state.flip(int(rng.integers(0, 10)))
         scratch = model.energy(state.bits)
         assert state.energy == pytest.approx(scratch, abs=1e-9 * (1 + abs(scratch)))
-        agree, disagree = state.partition()
-        assert sorted(state.disagree_indices()) == disagree
-        assert sorted(state.agree_indices()) == agree
-        assert state.distance == len(disagree)
+        differs = [b != r for b, r in zip(state.bits, state.reference)]
+        assert state.disagree_indices() == [i for i in range(10) if differs[i]]
+        assert state.agree_indices() == [i for i in range(10) if not differs[i]]
+        assert state.distance == sum(differs)
 
     def test_audit_catches_corruption(self):
         model = grid2d(3, 1.0, 0.0)
@@ -158,16 +158,20 @@ class TestFlip:
         assert state.energy == pytest.approx(model.energy(state.bits), abs=1e-9)
 
 
-class TestPartitionSets:
+def free_model(num_vars):
+    return IsingModel(num_vars, [], [0.0] * num_vars)
+
+
+class TestSideIndices:
     def test_reference_all_zero(self):
-        agree, disagree = partition_sets([1, 1, 1, 1, 1, 0, 0], [0] * 7)
-        assert disagree == [0, 1, 2, 3, 4]
-        assert agree == [5, 6]
+        state = ShellState(free_model(7), [1, 1, 1, 1, 1, 0, 0], [0] * 7)
+        assert state.disagree_indices() == [0, 1, 2, 3, 4]
+        assert state.agree_indices() == [5, 6]
 
     def test_identical_states(self):
-        agree, disagree = partition_sets([1, 0, 1], [1, 0, 1])
-        assert disagree == []
-        assert agree == [0, 1, 2]
+        state = ShellState(free_model(3), [1, 0, 1], [1, 0, 1])
+        assert state.disagree_indices() == []
+        assert state.agree_indices() == [0, 1, 2]
 
     @given(
         st.lists(st.integers(0, 1), min_size=1, max_size=20),
@@ -177,13 +181,15 @@ class TestPartitionSets:
     def test_partition_covers_everything(self, bits, reference):
         size = min(len(bits), len(reference))
         bits, reference = bits[:size], reference[:size]
-        agree, disagree = partition_sets(bits, reference)
-        assert len(agree) + len(disagree) == size
+        state = ShellState(free_model(size), bits, reference)
+        agree, disagree = state.agree_indices(), state.disagree_indices()
+        assert len(disagree) == state.distance
         assert sorted(agree + disagree) == list(range(size))
+        assert all(bits[i] != reference[i] for i in disagree)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            partition_sets([1, 0], [1, 0, 1])
+            ShellState(free_model(2), [1, 0], [1, 0, 1])
 
 
 class TestModelValidation:

@@ -327,9 +327,8 @@ class ParentMetropolis:
     for ``MetropolisSampler``: same picks, neighbour sums and slot order."""
 
     def __init__(self, model, state, beta, rng):
-        agree, disagree = state.partition()
         self.model, self.state, self.beta, self.rng = model, state, beta, rng
-        self.slots = disagree + agree
+        self.slots = state.disagree_indices() + state.agree_indices()
         self.shell_distance = state.distance
 
     def step(self):
