@@ -64,7 +64,7 @@ def _format_value(value):
 def write_trace_csv(record, path, meta=None):
     """Serialize a ``ChainRecord`` in the trace format: '# key=value' comment
     lines, then the ``TRACE_COLUMNS`` line and one row per recorded move."""
-    merged = {"moves": record.num_moves, **record.meta, **(meta or {})}
+    merged = {"moves": record.num_moves, **(meta or {})}
     lines = []
     for key in TRACE_META_ORDER:
         if key in merged:

@@ -131,22 +131,20 @@ def cmd_sample(args):
     model = load_model(args.model)
     n = _resolve_shell_distance(args, model.num_vars)
     gamma = args.gamma if args.gamma is not None else args.beta
+    k_min, k_max = (args.k, args.k) if args.k is not None else (args.k_min, args.k_max)
+    # every trace header records these, so both samplers refuse bad ones
+    walk = ImConfig(beta=args.beta, seed=args.seed, saw=SawParams(
+        gamma=gamma, k_min=k_min, k_max=k_max, order_policy=args.order))
+    burn_in = burn_in_moves(args.burn_in_fraction, args.moves, "--burn-in-fraction")
     files = []
     for trial in range(args.trials):
         spec = ChainSpec(
             sampler=args.sampler,
-            beta=args.beta,
-            gamma=gamma,
-            k_min=args.k if args.k is not None else args.k_min,
-            k_max=args.k if args.k is not None else args.k_max,
-            order=args.order,
-            engine="auto",
+            walk=walk,
             shell_distance=n,
             moves=args.moves,
             stride=args.stride,
-            burn_in=burn_in_moves(args.burn_in_fraction, args.moves,
-                                  "--burn-in-fraction"),
-            seed=args.seed,
+            burn_in=burn_in,
             trial=trial,
             chain_index=trial,
         )

@@ -24,7 +24,8 @@ import numpy as np
 from . import analysis
 from .errors import ConfigurationError
 from .generators import cube3d_pm_j, grid2d, rbm_gabor, save_model
-from .samplers import ChainSpec, burn_in_moves
+from .samplers import ChainSpec, ImConfig, burn_in_moves
+from .saw_proposal import SawParams
 
 SCALES = ("paper", "desk")
 PRESET_NAMES = ("ferro2d", "glass3d", "rbm")
@@ -170,6 +171,10 @@ def build_model(config: ExperimentConfig):
 def chain_specs(config: ExperimentConfig):
     """The chains of a preset run: per trial a walk chain and a Metropolis
     chain with ``fair_ratio`` times the moves, recorded at that stride."""
+    walk = ImConfig(beta=config.beta, seed=config.seed, engine=config.engine,
+                    saw=SawParams(gamma=config.gamma, k_min=config.k_min,
+                                  k_max=config.k_max,
+                                  order_policy=config.order_policy))
     specs = []
     for trial in range(config.trials):
         for index, sampler in enumerate(SAMPLERS):
@@ -177,17 +182,11 @@ def chain_specs(config: ExperimentConfig):
             moves = config.im_moves * stride
             specs.append(ChainSpec(
                 sampler=sampler,
-                beta=config.beta,
-                gamma=config.gamma,
-                k_min=config.k_min,
-                k_max=config.k_max,
-                order=config.order_policy,
-                engine=config.engine,
+                walk=walk,
                 shell_distance=config.shell_distance,
                 moves=moves,
                 stride=stride,
                 burn_in=burn_in_moves(config.burn_in_fraction, moves),
-                seed=config.seed,
                 trial=trial,
                 chain_index=2 * trial + index,
             ))

@@ -89,7 +89,6 @@ class GaborSpec:
     phase: float
     sigma: float      # envelope scale, pixels
     aspect: float     # envelope anisotropy, multiplies the off-axis falloff
-    amplitude: float = 1.0
 
     def values(self, side):
         """Filter weights over a side x side pixel grid, row-major order."""
@@ -108,16 +107,13 @@ class GaborSpec:
                     -(u_rot * u_rot + self.aspect * self.aspect * v_rot * v_rot)
                     / (2.0 * self.sigma * self.sigma)
                 )
-                out[u * side + v] = (
-                    self.amplitude
-                    * envelope
-                    * math.cos(2.0 * math.pi * self.freq * u_rot + self.phase)
-                )
+                out[u * side + v] = envelope * math.cos(
+                    2.0 * math.pi * self.freq * u_rot + self.phase)
         return out
 
 
 def draw_gabor_spec(side, rng):
-    """Random filter parameters; amplitude is fixed afterwards by L2 norm."""
+    """Random filter parameters; the row is scaled afterwards by its L2 norm."""
     return GaborSpec(
         center_u=float(rng.uniform(0.0, side - 1.0)) if side > 1 else 0.0,
         center_v=float(rng.uniform(0.0, side - 1.0)) if side > 1 else 0.0,
@@ -160,12 +156,8 @@ def rbm_gabor(num_visible, num_hidden, seed, weight_scale=1.0):
     for h in range(num_hidden):
         spec = draw_gabor_spec(side, rng)
         row = spec.values(side)
-        norm = float(np.linalg.norm(row))
-        if norm == 0.0:
-            row[:] = 0.0
-            row[0] = 1.0
-            norm = 1.0
-        weights[h] = row * (weight_scale / norm)
+        # nonzero: the pixel nearest the centre has envelope >= 0.94, cos != 0
+        weights[h] = row * (weight_scale / float(np.linalg.norm(row)))
     meta = {
         "generator": "rbm_gabor",
         "num_visible": num_visible,
@@ -176,40 +168,37 @@ def rbm_gabor(num_visible, num_hidden, seed, weight_scale=1.0):
     return _bipartite_model(weights, meta)
 
 
-def rbm_from_weights(weights, meta=None):
+def rbm_from_weights(weights):
     """Bipartite model from an explicit (num_hidden x num_visible) matrix."""
     weights = np.asarray(weights, dtype=np.float64)
     if weights.ndim != 2:
         raise ValueError(f"weights must be 2-D, got shape {weights.shape}")
-    base = {"generator": "rbm_weights", "num_hidden": weights.shape[0],
-            "num_visible": weights.shape[1]}
-    if meta:
-        base.update(meta)
-    return _bipartite_model(weights, base)
+    return _bipartite_model(weights, {
+        "generator": "rbm_weights", "num_hidden": weights.shape[0],
+        "num_visible": weights.shape[1]})
 
 
 def load_weights_csv(path):
     """Read a weight matrix (one hidden unit per row) from CSV."""
     rows = []
     with open(path, newline="", encoding="utf-8") as handle:
-        for line_no, row in enumerate(csv.reader(handle)):
+        reader = csv.reader(handle)
+        for row in reader:
             if not row:
                 continue
+            line = f"line {reader.line_num}"
             try:
                 values = [float(x) for x in row]
             except ValueError as exc:
-                raise ModelFormatError(f"row {line_no}: {exc}") from exc
+                raise ModelFormatError(f"{line}: {exc}") from exc
             if not all(map(math.isfinite, values)):
-                raise ModelFormatError(f"row {line_no} holds a non-finite weight")
+                raise ModelFormatError(f"{line} holds a non-finite weight")
+            if rows and len(values) != len(rows[0]):
+                raise ModelFormatError(f"{line} has {len(values)} columns, "
+                                       f"expected {len(rows[0])}")
             rows.append(values)
     if not rows:
         raise ModelFormatError("weight file has no rows")
-    width = len(rows[0])
-    for line_no, row in enumerate(rows):
-        if len(row) != width:
-            raise ModelFormatError(
-                f"row {line_no} has {len(row)} columns, expected {width}"
-            )
     return np.array(rows, dtype=np.float64)
 
 

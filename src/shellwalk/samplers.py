@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,6 +91,14 @@ def random_shell_state(model, constraint: ShellConstraint, rng, audit=False):
     return ShellState(model, bits, constraint.reference, audit=audit)
 
 
+def check_shell(state: ShellState, distance):
+    """Raise ``CoherenceError`` if ``state`` has left the shell at ``distance``."""
+    if state.distance != distance:
+        raise CoherenceError(
+            f"sampler left the shell: distance {state.distance} != {distance}"
+        )
+
+
 @dataclass(frozen=True)
 class ImConfig:
     """Intracluster sampler settings: target temperature plus walk parameters."""
@@ -136,7 +144,6 @@ class ChainRecord:
     acceptance_rate: float
     seconds_per_move: float
     evals_per_move: float
-    meta: dict = field(default_factory=dict)
 
     def __len__(self):
         return len(self.steps)
@@ -189,11 +196,8 @@ class ImSampler:
         if not accepted:
             engine.restore(saved)
         self.accepts += accepted
-        if state.audit and state.distance != self.shell_distance:
-            raise CoherenceError(
-                f"sampler left the shell: distance {state.distance} != "
-                f"{self.shell_distance}"
-            )
+        if state.audit:
+            check_shell(state, self.shell_distance)
         return accepted, k
 
 
@@ -275,11 +279,8 @@ class MetropolisSampler:
             slots[n - 1] = j
             slots[b] = i
         self.accepts += accepted
-        if state.audit and state.distance != self.shell_distance:
-            raise CoherenceError(
-                f"sampler left the shell: distance {state.distance} != "
-                f"{self.shell_distance}"
-            )
+        if state.audit:
+            check_shell(state, self.shell_distance)
         return accepted, (i, j)
 
 
@@ -331,7 +332,6 @@ def run_chain(model, init: ShellState, sampler: str, num_moves, record_stride=1,
         acceptance_rate=(driver.accepts - accepts_before) / num_moves,
         seconds_per_move=elapsed / num_moves,
         evals_per_move=(driver.evals - evals_before) / num_moves,
-        meta={"sampler": sampler, "beta": config.beta},
     )
 
 
@@ -348,24 +348,20 @@ def burn_in_moves(fraction, moves, name="burn_in_fraction"):
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """One recorded chain: its sampler settings, run length and random stream.
+    """One recorded chain: its sampler, run length and random stream, and
+    the run's ``walk`` settings, which every trace header records. A
+    Metropolis chain runs only their ``beta`` and ``seed``.
 
-    ``chain_index`` selects the chain's stream under ``seed`` (see
+    ``chain_index`` selects the chain's stream under ``walk.seed`` (see
     ``chain_rng``); the start state and every move draw from that stream.
     """
 
     sampler: str
-    beta: float
-    gamma: float
-    k_min: int
-    k_max: int
-    order: str
-    engine: str
+    walk: ImConfig
     shell_distance: int
     moves: int
     stride: int
     burn_in: int
-    seed: int
     trial: int
     chain_index: int
 
@@ -373,18 +369,11 @@ class ChainSpec:
         """Draw a uniform start state on the shell and run the chain;
         ``audit`` turns on the state's coherence checks."""
         constraint = ShellConstraint(tuple([0] * model.num_vars), self.shell_distance)
-        rng = chain_rng(self.seed, self.chain_index)
+        rng = chain_rng(self.walk.seed, self.chain_index)
         init = random_shell_state(model, constraint, rng, audit=audit)
-        if self.sampler == "im":
-            config = ImConfig(
-                beta=self.beta,
-                saw=SawParams(gamma=self.gamma, k_min=self.k_min,
-                              k_max=self.k_max, order_policy=self.order),
-                seed=self.seed,
-                engine=self.engine,
-            )
-        else:
-            config = MetropolisConfig(beta=self.beta, seed=self.seed)
+        config = self.walk
+        if self.sampler != "im":
+            config = MetropolisConfig(beta=config.beta, seed=config.seed)
         return run_chain(
             model, init, self.sampler, self.moves, record_stride=self.stride,
             config=config, rng=rng, burn_in=self.burn_in,
@@ -393,22 +382,23 @@ class ChainSpec:
     def write_trace(self, record: ChainRecord, out_dir, model_path, **extra):
         """Write this chain's ``record`` to its trace file in ``out_dir``, with
         ``extra`` added to the header; returns the file name."""
+        walk, saw = self.walk, self.walk.saw
         name = f"trace_{self.sampler}_{self.trial:03d}.csv"
         write_trace_csv(record, os.path.join(out_dir, name), {
             "model": model_path,
             "sampler": self.sampler,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "seed": self.seed,
+            "beta": walk.beta,
+            "gamma": saw.gamma,
+            "seed": walk.seed,
             "moves": self.moves,
             "stride": self.stride,
             "trial": self.trial,
             "burn_in": self.burn_in,
             "n": self.shell_distance,
-            "k_min": self.k_min,
-            "k_max": self.k_max,
-            "order": self.order,
-            "engine": self.engine if self.sampler == "im" else "-",
+            "k_min": saw.k_min,
+            "k_max": saw.k_max,
+            "order": saw.order_policy,
+            "engine": walk.engine if self.sampler == "im" else "-",
             "evals_per_move": record.evals_per_move,
             "acceptance_rate": record.acceptance_rate,
             **extra,

@@ -10,10 +10,10 @@ class WeightedIndexTree:
 
     ``sample(u)`` maps a uniform draw u in [0,1) to the unique leaf whose
     prefix-sum interval [sum(w[:i]), sum(w[:i+1])) / total contains u*total,
-    so P(i) = w_i / total. Both sampling and single-leaf updates touch
-    ``last_visits`` = ceil(log2(l)) + 1 nodes. An update recomputes every
-    ancestor from its two children, so the internal sums always equal a
-    fresh build's and never drift.
+    so P(i) = w_i / total. Both sampling and single-leaf updates touch a
+    leaf and its ancestors, ceil(log2(l)) + 1 nodes. An update recomputes
+    every ancestor from its two children, so the internal sums always equal
+    a fresh build's and never drift.
     """
 
     __slots__ = ("_n", "_base", "_nodes")
@@ -32,11 +32,6 @@ class WeightedIndexTree:
         nodes[base : base + self._n] = weights
         for p in range(base - 1, 0, -1):
             nodes[p] = nodes[2 * p] + nodes[2 * p + 1]
-
-    @property
-    def last_visits(self):
-        """Nodes one sample or update touches: the leaf and its ancestors."""
-        return self._base.bit_length()
 
     @property
     def total(self):

@@ -45,7 +45,7 @@ class TestGen:
         weights.write_text(f"0.5,0.5,0.5\n-1,{value},1\n", encoding="utf-8")
         out = tmp_path / "rbm.json"
         assert run_cli("gen", "rbm", "--weights", weights, "--out", out) == 3
-        assert "file error: row 1" in capsys.readouterr().err
+        assert "file error: line 2" in capsys.readouterr().err
         assert not out.exists()
 
     def test_usage_error_exit_code(self, tmp_path):
@@ -189,6 +189,12 @@ class TestSample:
     @pytest.mark.parametrize("args", [
         ("--sampler", "metropolis", "--n", 0),
         ("--sampler", "im", "--n", 2, "--k", 5),
+        # every trace header records the walk settings, so both samplers
+        # refuse invalid ones
+        ("--sampler", "im", "--n", 4, "--gamma", -1),
+        ("--sampler", "im", "--n", 4, "--k-min", 3, "--k-max", 2),
+        ("--sampler", "metropolis", "--n", 4, "--gamma", -1),
+        ("--sampler", "metropolis", "--n", 4, "--k-min", 3, "--k-max", 2),
     ])
     def test_refused_configuration_writes_nothing(self, small_model, tmp_path,
                                                   args):

@@ -265,7 +265,15 @@ class TestWeightsCsv:
     def test_rejects_non_finite(self, tmp_path, value):
         path = tmp_path / "w.csv"
         path.write_text(f"1,2\n3,{value}\n", encoding="utf-8")
-        with pytest.raises(ModelFormatError, match="row 1"):
+        with pytest.raises(ModelFormatError, match="line 2"):
+            load_weights_csv(path)
+
+    @pytest.mark.parametrize("text", ["1,2\n\n1\n", "1,2\n\n1,x\n"])
+    def test_errors_name_the_file_line(self, tmp_path, text):
+        # a blank line counts: the error names the third line of the file
+        path = tmp_path / "w.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ModelFormatError, match=r"^line 3\b"):
             load_weights_csv(path)
 
     def test_rejects_non_numeric(self, tmp_path):

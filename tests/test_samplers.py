@@ -548,7 +548,8 @@ class TestTraceCsv:
         record = run_chain(model, state, "metropolis", 200, record_stride=5,
                            config=config, rng=rng)
         path = tmp_path / "trace.csv"
-        meta = {"model": "m.json", "gamma": 0.4405, "seed": 7, "stride": 5,
+        meta = {"model": "m.json", "sampler": "metropolis", "beta": 0.44,
+                "gamma": 0.4405, "seed": 7, "stride": 5,
                 "evals_per_move": record.evals_per_move}
         write_trace_csv(record, path, meta)
         trace = load_trace(path)

@@ -158,16 +158,3 @@ class TestLogWeightFraction:
         tree = WeightedIndexTree([0.0, 1.0])
         with pytest.raises(ValueError):
             tree.log_weight_fraction(0)
-
-
-class TestComplexity:
-    @pytest.mark.parametrize("size", [1, 2, 3, 7, 8, 100, 1000])
-    def test_visit_counts(self, size):
-        rng = np.random.default_rng(size)
-        tree = WeightedIndexTree(rng.uniform(0.1, 1.0, size=size))
-        bound = math.ceil(math.log2(size)) + 1 if size > 1 else 1
-        for _ in range(50):
-            tree.sample(float(rng.random()))
-            assert tree.last_visits <= bound
-            tree.update(int(rng.integers(0, size)), float(rng.uniform(0, 1)))
-            assert tree.last_visits <= bound
