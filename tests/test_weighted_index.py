@@ -158,3 +158,40 @@ class TestLogWeightFraction:
         tree = WeightedIndexTree([0.0, 1.0])
         with pytest.raises(ValueError):
             tree.log_weight_fraction(0)
+
+
+class _CountingNodes(list):
+    """Node list that counts element reads and writes."""
+
+    def __init__(self, nodes):
+        super().__init__(nodes)
+        self.reads = self.writes = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+    def __setitem__(self, i, value):
+        self.writes += 1
+        super().__setitem__(i, value)
+
+
+class TestComplexity:
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 8, 100, 1000])
+    def test_visit_counts(self, size):
+        # a sample reads the total and both children at each level it
+        # descends; an update writes the leaf and every ancestor, reading both
+        # children of each ancestor; the path has ceil(log2(l)) + 1 nodes
+        rng = np.random.default_rng(size)
+        tree = WeightedIndexTree(rng.uniform(0.1, 1.0, size=size))
+        nodes = tree._nodes = _CountingNodes(tree._nodes)
+        bound = math.ceil(math.log2(size)) + 1 if size > 1 else 1
+        for _ in range(50):
+            nodes.reads = nodes.writes = 0
+            tree.sample(float(rng.random()))
+            assert nodes.reads <= 1 + 2 * (bound - 1)
+            assert nodes.writes == 0
+            nodes.reads = nodes.writes = 0
+            tree.update(int(rng.integers(0, size)), float(rng.uniform(0, 1)))
+            assert nodes.writes <= bound
+            assert nodes.reads <= 2 * (bound - 1)
