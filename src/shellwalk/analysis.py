@@ -183,9 +183,10 @@ def average_acf(per_trial, lag_unit=1.0, label=""):
     a single trial)."""
     if not per_trial:
         raise ValueError("need at least 1 trial to average")
-    stacked = np.vstack([np.asarray(c, dtype=np.float64) for c in per_trial])
-    if stacked.ndim != 2:
+    curves = [np.asarray(c, dtype=np.float64) for c in per_trial]
+    if len({c.shape for c in curves}) > 1:
         raise ValueError("per-trial curves must share one lag grid")
+    stacked = np.vstack(curves)
     mean = stacked.mean(axis=0)
     variance = stacked.var(axis=0)
     lags = np.arange(stacked.shape[1], dtype=np.float64) * lag_unit
@@ -244,6 +245,12 @@ def bootstrap_ratio_ci95(numerators, denominators):
     picks = rng.integers(0, ratios.size, size=(BOOTSTRAP_RESAMPLES, ratios.size))
     low, high = np.percentile(ratios[picks].mean(axis=1), [2.5, 97.5])
     return float(low), float(high)
+
+
+def sample_cost(sampler, stride, fair_ratio):
+    """Metropolis moves one recorded sample stands for: ``stride`` moves,
+    each worth ``fair_ratio`` for the walk sampler ("im"), 1 for any other."""
+    return float(fair_ratio * stride if sampler == "im" else stride)
 
 
 def check_lag_units(curves):

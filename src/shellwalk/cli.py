@@ -57,7 +57,7 @@ from .samplers import (
     chain_rng,
     random_shell_state,
 )
-from .saw_proposal import SawParams, propose
+from .saw_proposal import ORDER_POLICIES, SawParams, propose
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -171,11 +171,10 @@ def _group_cost(sampler, traces, fair_ratio):
     ``--fair-ratio`` or else the headers; None when no header carries one."""
     costs = {}
     for trace in traces:
-        stride = trace.meta.get("stride", 1)
         if fair_ratio is None:
             cost = trace.meta.get("cost_per_sample")
         else:
-            cost = float(fair_ratio * stride if sampler == "im" else stride)
+            cost = analysis.sample_cost(sampler, trace.meta.get("stride", 1), fair_ratio)
         costs.setdefault(cost, []).append(trace.meta["path"])
     if len(costs) > 1:
         listed = "; ".join(f"{cost} in {', '.join(paths)}"
@@ -391,7 +390,7 @@ def build_parser():
 
     s = sub.add_parser("sample", help="run chains and write trace CSVs")
     s.add_argument("--model", required=True)
-    s.add_argument("--sampler", choices=("im", "metropolis"), required=True)
+    s.add_argument("--sampler", choices=experiments.SAMPLERS, required=True)
     s.add_argument("--beta", type=float, required=True)
     s.add_argument("--gamma", type=float, default=None,
                    help="walk bias (default: beta)")
@@ -399,8 +398,7 @@ def build_parser():
                    help="fixed walk length")
     s.add_argument("--k-min", type=_positive_int, default=1)
     s.add_argument("--k-max", type=_positive_int, default=1)
-    s.add_argument("--order", choices=("up_down", "down_up", "random"),
-                   default="up_down")
+    s.add_argument("--order", choices=ORDER_POLICIES, default="up_down")
     group = s.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=int, default=None,
                        help="shell distance (count of active bits)")

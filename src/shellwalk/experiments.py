@@ -234,32 +234,31 @@ def run_config(config: ExperimentConfig, out_dir=".", workers=1,
     produced = [{"path": "model.json", "kind": "model",
                  "params": {"generator": config.generator, **config.generator_args}}]
 
-    traces = {sampler: [] for sampler in SAMPLERS}
-    records = {sampler: [] for sampler in SAMPLERS}
+    chains = {sampler: [] for sampler in SAMPLERS}
     specs = chain_specs(config)
     with ExitStack() as stack:
-        chains = (spec.run(model) for spec in specs)
+        results = (spec.run(model) for spec in specs)
         if workers > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            chains = pool.map(partial(run_trial, config), specs)
-        for spec, record in zip(specs, chains):
+            results = pool.map(partial(run_trial, config), specs)
+        for spec, record in zip(specs, results):
             if progress:
                 progress(spec)
-            # one recorded sample of either sampler = fair_ratio Metropolis moves
-            name = spec.write_trace(record, out_dir, "model.json",
-                                    cost_per_sample=float(config.fair_ratio))
+            cost = analysis.sample_cost(spec.sampler, spec.stride, config.fair_ratio)
+            name = spec.write_trace(record, out_dir, "model.json", cost_per_sample=cost)
             produced.append({"path": name, "kind": "trace",
                              "params": {"sampler": spec.sampler, "trial": spec.trial,
                                         "moves": spec.moves, "stride": spec.stride}})
-            traces[spec.sampler].append(analysis.EnergyTrace(
-                record.energies, {"path": os.path.join(out_dir, name)}))
-            records[spec.sampler].append(record)
+            chains[spec.sampler].append((spec, record))
 
-    # one lag of either sampler = one recorded sample
+    # both samplers' samples cost the same, so one lag = one recorded sample
+    groups = {sampler: ([analysis.EnergyTrace(record.energies, {
+                             "path": os.path.join(out_dir, spec.trace_name)})
+                         for spec, record in runs], 1.0)
+              for sampler, runs in chains.items()}
     acfs = analysis.write_acf_outputs(
-        out_dir, {sampler: (traces[sampler], 1.0) for sampler in SAMPLERS},
-        config.max_lag, f"{config.preset} ({config.scale}): energy autocorrelation",
-        LABELS)
+        out_dir, groups, config.max_lag,
+        f"{config.preset} ({config.scale}): energy autocorrelation", LABELS)
     summary = {
         "preset": config.preset,
         "scale": config.scale,
@@ -268,7 +267,7 @@ def run_config(config: ExperimentConfig, out_dir=".", workers=1,
         "samplers": {},
     }
     for sampler, (curve, per_trial) in acfs.items():
-        chains = records[sampler]
+        records = [record for _, record in chains[sampler]]
         produced.append({"path": analysis.ACF_TABLE.format(sampler=sampler),
                          "kind": "acf",
                          "params": {"sampler": sampler,
@@ -276,13 +275,13 @@ def run_config(config: ExperimentConfig, out_dir=".", workers=1,
                                     "max_lag": len(curve.lags) - 1}})
         taus = [analysis.integrated_time(c) for c in per_trial]
         final_quarter = [
-            float(np.mean(t.energies[3 * len(t) // 4 :])) for t in traces[sampler]
+            float(np.mean(r.energies[3 * len(r) // 4 :])) for r in records
         ]
         summary["samplers"][sampler] = {
-            "moves_per_trial": int(chains[0].num_moves),
-            "record_stride": int(config.fair_ratio if sampler == "metropolis" else 1),
-            "acceptance_rate_mean": float(np.mean([r.acceptance_rate for r in chains])),
-            "evals_per_move_mean": float(np.mean([r.evals_per_move for r in chains])),
+            "moves_per_trial": int(records[0].num_moves),
+            "record_stride": int(chains[sampler][0][0].stride),
+            "acceptance_rate_mean": float(np.mean([r.acceptance_rate for r in records])),
+            "evals_per_move_mean": float(np.mean([r.evals_per_move for r in records])),
             "tau_int": [float(t) for t in taus],
             "tau_int_mean": float(np.mean(taus)),
             "acf_drop_lag": _first_drop_lag(curve),
@@ -299,7 +298,7 @@ def run_config(config: ExperimentConfig, out_dir=".", workers=1,
 
     energy_curves = []
     for sampler, label in LABELS.items():
-        energies = records[sampler][0].energies
+        energies = chains[sampler][0][1].energies
         energy_curves.append(analysis.PlotCurve(
             label, np.arange(len(energies), dtype=np.float64), energies))
     energy_svg = analysis.emit_svg(

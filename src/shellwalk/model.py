@@ -230,6 +230,8 @@ class ShellState:
             raise ValueError("bits must be a {0,1} vector")
         self.spins = [2.0 * b - 1.0 for b in bits]
         self.reference = tuple(int(r) for r in reference)
+        if any(r not in (0, 1) for r in self.reference):
+            raise ValueError("reference must be a {0,1} vector")
         self.distance = sum(b != r for b, r in zip(bits, self.reference))
         self.energy = model.energy(bits)
         self._flips = 0
@@ -252,10 +254,6 @@ class ShellState:
         and per-move code reads ``spins`` instead."""
         return [1 if s > 0.0 else 0 for s in self.spins]
 
-    @property
-    def num_vars(self):
-        return len(self.spins)
-
     def delta_energy(self, i):
         """Energy change if bit ``i`` were flipped; O(degree(i))."""
         if not 0 <= i < len(self.spins):
@@ -270,7 +268,7 @@ class ShellState:
         """Invert bit ``i`` in place, updating energy and distance.
 
         ``delta`` is the flip's energy change, computed here unless the
-        caller holds it. Returns the energy change that was applied.
+        caller holds it.
         """
         if delta is None:
             delta = self.delta_energy(i)
@@ -282,7 +280,6 @@ class ShellState:
         self._flips += 1
         if self._flips % ENERGY_REFRESH_INTERVAL == 0:
             self._refresh_energy()
-        return delta
 
     def checkpoint(self):
         """Copies of everything a flip changes, for ``restore``."""

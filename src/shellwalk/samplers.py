@@ -161,8 +161,6 @@ class ImSampler:
     audited state every move checks that the state kept its shell.
     """
 
-    name = "im"
-
     def __init__(self, model: IsingModel, state: ShellState, config: ImConfig,
                  rng=None):
         self.model = model
@@ -220,8 +218,6 @@ class MetropolisSampler:
     that slot and the first bit into the agreeing bit's old slot. The
     sampler must be the only one to flip its state.
     """
-
-    name = "metropolis"
 
     def __init__(self, model: IsingModel, state: ShellState,
                  config: MetropolisConfig, rng=None):
@@ -313,18 +309,18 @@ def run_chain(model, init: ShellState, sampler: str, num_moves, record_stride=1,
         driver.step()
     evals_before = driver.evals
     accepts_before = driver.accepts
-    steps, energies, accepted_flags, ks = [], [], [], []
+    walk = sampler == "im"
+    energies, accepted_flags, ks = [], [], []
     start = time.perf_counter()
     for move_index in range(num_moves):
         accepted, outcome = driver.step()
         if move_index % record_stride == 0:
-            steps.append(move_index)
             energies.append(init.energy)
             accepted_flags.append(accepted)
-            ks.append(outcome if sampler == "im" else 0)
+            ks.append(outcome if walk else 0)
     elapsed = time.perf_counter() - start
     return ChainRecord(
-        steps=np.array(steps, dtype=np.int64),
+        steps=np.arange(0, num_moves, record_stride, dtype=np.int64),
         energies=np.array(energies, dtype=np.float64),
         accepted=np.array(accepted_flags, dtype=bool),
         ks=np.array(ks, dtype=np.int64),
@@ -379,12 +375,16 @@ class ChainSpec:
             config=config, rng=rng, burn_in=self.burn_in,
         )
 
+    @property
+    def trace_name(self):
+        """The file name of this chain's trace."""
+        return f"trace_{self.sampler}_{self.trial:03d}.csv"
+
     def write_trace(self, record: ChainRecord, out_dir, model_path, **extra):
         """Write this chain's ``record`` to its trace file in ``out_dir``, with
         ``extra`` added to the header; returns the file name."""
         walk, saw = self.walk, self.walk.saw
-        name = f"trace_{self.sampler}_{self.trial:03d}.csv"
-        write_trace_csv(record, os.path.join(out_dir, name), {
+        write_trace_csv(record, os.path.join(out_dir, self.trace_name), {
             "model": model_path,
             "sampler": self.sampler,
             "beta": walk.beta,
@@ -403,4 +403,4 @@ class ChainSpec:
             "acceptance_rate": record.acceptance_rate,
             **extra,
         })
-        return name
+        return self.trace_name

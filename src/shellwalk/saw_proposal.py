@@ -141,8 +141,6 @@ def choose_engine_kind(model, gamma, kind="auto"):
         return kind
     if kind != "auto":
         raise ValueError(f"engine must be 'auto', 'tree', or 'scan', got {kind!r}")
-    if model.num_vars == 0:
-        return "scan"
     if model.average_degree > max(DENSE_DEGREE_FRACTION * model.num_vars, MIN_DENSE_DEGREE):
         return "scan"
     if 0.5 * gamma * model.max_flip_delta() > MAX_SAFE_EXPONENT:

@@ -16,6 +16,7 @@ from shellwalk.analysis import (
     emit_svg,
     integrated_time,
     load_trace,
+    sample_cost,
     trial_acf,
     write_acf_csv,
 )
@@ -93,6 +94,10 @@ class TestAverageAcf:
         with pytest.raises(ValueError):
             average_acf([])
 
+    def test_curves_of_different_lengths_rejected(self):
+        with pytest.raises(ValueError, match="share one lag grid"):
+            average_acf([np.ones(3), np.ones(4)])
+
 
 class TestTrialAcf:
     def test_lag_is_capped_by_the_shortest_trace(self):
@@ -160,6 +165,13 @@ class TestFairness:
         c = AcfCurve(np.arange(3.0), np.ones(3), np.zeros(3), 2, lag_unit=1.2)
         with pytest.raises(ValueError, match="lag units"):
             check_lag_units([a, c])
+
+    def test_sample_cost(self):
+        # a walk sample is stride walk moves, each fair_ratio swaps
+        assert sample_cost("im", 3, 50) == 150.0
+        # a swap sample is stride swaps, whatever the ratio
+        assert sample_cost("metropolis", 50, 50) == 50.0
+        assert sample_cost("metropolis", 7, 10) == 7.0
 
 
 class TestOutputs:

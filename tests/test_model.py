@@ -191,6 +191,11 @@ class TestSideIndices:
         with pytest.raises(ValueError):
             ShellState(free_model(2), [1, 0], [1, 0, 1])
 
+    def test_reference_must_be_binary(self):
+        # a reference value of 2 would count every flip of its bit as agreeing
+        with pytest.raises(ValueError, match=r"reference must be a \{0,1\} vector"):
+            ShellState(free_model(3), [1, 0, 0], [2, 0, 0])
+
 
 class TestModelValidation:
     def test_rejects_duplicate_edges(self):

@@ -172,6 +172,13 @@ class TestExactImKernel:
                             SawParams(gamma=0.7, k_min=1, k_max=2),
                             self.constraint)
 
+    def test_infeasible_walk_length(self):
+        # up_down walks at most n = 3 bits toward the reference
+        with pytest.raises(ValueError, match="walk length 4 infeasible"):
+            exact_im_kernel(self.model, 0.7,
+                            SawParams(gamma=0.7, k_min=4, k_max=4),
+                            self.constraint)
+
     def test_budget(self):
         with pytest.raises(EnumerationBudgetError):
             exact_im_kernel(self.model, 0.7,

@@ -326,6 +326,15 @@ class TestEngines:
         with pytest.raises(ValueError):
             choose_engine_kind(sparse, 0.5, kind="bogus")
 
+    @pytest.mark.parametrize("kind", ["tree", "scan", "auto"])
+    def test_zero_variable_model_proposes_empty_move(self, kind):
+        model = IsingModel(0, [], [])
+        state = ShellState(model, [], ())
+        params = SawParams(gamma=0.5, k_min=0, k_max=2)
+        move = propose(model, state, params, np.random.default_rng(0), engine=kind)
+        assert (move.k, move.first_walk, move.second_walk) == (0, (), ())
+        assert (move.log_fwd, move.log_rev) == (0.0, 0.0)
+
     def test_scan_handles_extreme_couplings(self):
         model = IsingModel(
             6, [(i, i + 1, 2000.0) for i in range(5)], [0.0] * 6
