@@ -190,6 +190,14 @@ def cmd_analyze(args):
     for path in args.traces:
         trace = analysis.load_trace(path)
         groups.setdefault(trace.meta.get("sampler", "unknown"), []).append(trace)
+    if len(groups) > 1:
+        for sampler, traces in groups.items():
+            if sampler not in experiments.SAMPLERS:
+                raise ConfigurationError(
+                    f"{traces[0].meta['path']}: cannot price sampler "
+                    f"{traces[0].meta.get('sampler')!r} beside another; the header "
+                    f"needs '# sampler=' set to one of {', '.join(experiments.SAMPLERS)}"
+                )
     costs = {sampler: _group_cost(sampler, traces, args.fair_ratio)
              for sampler, traces in groups.items()}
     # a lone sampler needs no price: its lags stay in recorded samples

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -171,9 +172,10 @@ class TreeWalkEngine:
     Keeps two trees over all variables, one holding exp(-gamma * deltaE_i / 2)
     for currently disagreeing bits (candidates of toward-steps) and one for
     agreeing bits, plus the local fields sum_j J_ij s_j so a flip only touches
-    the flipped bit and its graph neighbors. Every bit of a walk is flipped
-    through ``flip``, which also flips the bound state with the energy change
-    read off the local field.
+    the flipped bit and its graph neighbors. ``walk`` runs a whole walk in
+    one frame; ``sample``, ``flip`` and ``log_prob`` are its single steps.
+    A flip also flips the bound state with the energy change read off the
+    local field.
     """
 
     kind = "tree"
@@ -277,6 +279,77 @@ class TreeWalkEngine:
         if state._flips % RESYNC_INTERVAL == 0:
             self.sync()
 
+    def walk(self, toward, uniforms, k, picks, log_fwd, log_rev):
+        """Walk ``k`` steps, appending the picked bits to ``picks``; returns
+        ``log_fwd`` and ``log_rev`` with each step's log probabilities added.
+
+        A step is ``sample``, ``flip`` and ``log_prob`` in the same
+        arithmetic, calling only the tree's draw and the state's flip. Fields
+        and trees are bound once and again after a ``sync``, which replaces
+        them."""
+        state = self.state
+        spins = state.spins
+        state_flip = state.flip
+        fields = self.model.fields
+        adjacency = self.model.adjacency
+        disagree_spin = self._disagree_spin
+        neg_gamma = -self.gamma
+        base = self._base
+        exp = math.exp
+        log = math.log
+        evals = 0
+        local, toward_nodes, away_nodes, sample, old, new = self._walk_frame(toward)
+        for u in islice(uniforms, k):
+            i = sample(u)
+            p = base + i
+            # the draw never lands on a zero leaf, and raises on a zero total
+            log_fwd += log(old[p]) - log(old[1])
+            field_i = local[i] + fields[i]
+            state_flip(i, 2.0 * spins[i] * field_i)
+            s_new = spins[i]
+            step = 2.0 * s_new
+            neighbors = adjacency[i]
+            for j, coupling in neighbors:
+                local[j] = local_j = local[j] + step * coupling
+                s_j = spins[j]
+                nodes = toward_nodes if s_j == disagree_spin[j] else away_nodes
+                q = base + j
+                nodes[q] = v = exp(neg_gamma * s_j * (local_j + fields[j]))
+                stop = (q >> (i ^ j).bit_length()) * 2 + 1
+                while q > stop:
+                    v += nodes[q ^ 1]
+                    q >>= 1
+                    nodes[q] = v
+            old[p] = v_old = 0.0
+            new[p] = v_new = exp(neg_gamma * s_new * field_i)
+            while p > 1:
+                q = p ^ 1
+                v_old += old[q]
+                v_new += new[q]
+                p >>= 1
+                old[p] = v_old
+                new[p] = v_new
+            evals += len(neighbors) + 1
+            if state._flips % RESYNC_INTERVAL == 0:
+                self.sync()
+                local, toward_nodes, away_nodes, sample, old, new = self._walk_frame(toward)
+            w = new[base + i]
+            total = new[1]
+            if w <= 0.0 or total <= 0.0:
+                raise ValueError(
+                    f"log weight fraction undefined for weight {w} of total {total}")
+            log_rev += log(w) - log(total)
+            picks.append(i)
+        self.evals += evals
+        return log_fwd, log_rev
+
+    def _walk_frame(self, toward):
+        """What ``walk`` binds: the local fields, both trees' nodes, the
+        source tree's draw, and the source and target trees' nodes."""
+        src, dst = (self._toward, self._away) if toward else (self._away, self._toward)
+        return (self._local, self._toward._nodes, self._away._nodes,
+                src.sample, src._nodes, dst._nodes)
+
     def checkpoint(self):
         """Copies of the bound state, the local fields and both trees."""
         return (self.state.checkpoint(), list(self._local),
@@ -307,8 +380,9 @@ class ScanWalkEngine:
     Keeps the local fields as a vector and one per-bit copy of the state's
     partition, ``side``: +1.0 for a disagreeing bit (a toward candidate),
     -1.0 for an agreeing one. Spins are read from the bound state; ``flip``
-    also flips it. Per state, the first ``sample`` or ``log_prob`` computes
-    every bit's logit as a candidate of its own side,
+    also flips it. ``walk`` loops over these single steps. Per state, the
+    first ``sample`` or ``log_prob`` computes every bit's logit as a
+    candidate of its own side,
     ``z = side * (gamma * rho * (local + fields))``, in O(M), and when no
     flip can push exp() near overflow, its weights ``w = exp(z)`` in the
     same pass: one exp per state, shared by the next step's draw and the
@@ -375,6 +449,17 @@ class ScanWalkEngine:
         self.state.restore(state)
         self._z = None
 
+    def walk(self, toward, uniforms, k, picks, log_fwd, log_rev):
+        """One walk of ``k`` steps through ``sample``, ``flip`` and
+        ``log_prob``; returns the running logs."""
+        for _ in range(k):
+            i, log_p = self.sample(toward, next(uniforms))
+            log_fwd += log_p
+            self.flip(i)
+            log_rev += self.log_prob(not toward, i)
+            picks.append(i)
+        return log_fwd, log_rev
+
     def _weights(self, toward):
         """One side's candidates, ascending, every bit's logit, and the
         side's exponent shift and candidate weights.
@@ -437,24 +522,21 @@ def run_walks(engine, rng, k, order):
     """Generate both walks in place, accumulating forward and reverse logs.
 
     Flips the engine and its bound state to the proposed configuration and
-    returns (first walk, second walk, log_fwd, log_rev). The
-    reverse log probability is accumulated in the same sweep: immediately
-    after each flip the walked bit sits in the opposite candidate set, and the
-    current state is exactly the intermediate state the reversed move would
-    pass through, so its selection probability can be read off directly.
+    returns (first walk, second walk, log_fwd, log_rev). Each walk is one
+    ``engine.walk`` call; the second carries on the first's running sums, so
+    the logs are added step by step in walk order. The reverse log
+    probability is accumulated in the same sweep: immediately after each
+    flip the walked bit sits in the opposite candidate set, and the current
+    state is exactly the intermediate state the reversed move would pass
+    through, so its selection probability can be read off directly.
     """
     first_toward = order == ORDER_UP_DOWN
-    log_fwd = log_rev = 0.0
     first, second = [], []
     # the same doubles as 2k scalar draws; nothing else draws in between
     uniforms = iter(rng.random(2 * k).tolist())
-    for toward, walk in ((first_toward, first), (not first_toward, second)):
-        for _ in range(k):
-            i, log_p = engine.sample(toward, next(uniforms))
-            log_fwd += log_p
-            engine.flip(i)
-            log_rev += engine.log_prob(not toward, i)
-            walk.append(i)
+    log_fwd, log_rev = engine.walk(first_toward, uniforms, k, first, 0.0, 0.0)
+    log_fwd, log_rev = engine.walk(not first_toward, uniforms, k, second,
+                                   log_fwd, log_rev)
     return first, second, log_fwd, log_rev
 
 

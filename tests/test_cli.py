@@ -318,6 +318,23 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "10.0 in" in err and "5.0 in" in err
 
+    @pytest.mark.parametrize("header", ["", "# sampler=gibbs\n"],
+                             ids=["no-sampler", "unknown-sampler"])
+    def test_unpriceable_sampler_in_an_overlay_is_refused(
+            self, small_model, tmp_path, capsys, header):
+        # once priced as a Metropolis trace: lag unit 0.1 beside its own copy
+        traces = self.make_traces(small_model, tmp_path, moves=200)
+        walk = traces[0]
+        assert walk.name == "trace_im_000.csv"
+        stripped = tmp_path / "stripped.csv"
+        text = walk.read_text(encoding="utf-8")
+        assert "# sampler=im\n" in text
+        stripped.write_text(text.replace("# sampler=im\n", header), encoding="utf-8")
+        assert run_cli("analyze", walk, stripped, "--fair-ratio", 10,
+                       "--out", tmp_path / "acf") == 1
+        assert "stripped.csv" in capsys.readouterr().err
+        assert not (tmp_path / "acf").exists()
+
     @pytest.mark.parametrize("rows, where", [
         ("0,1.0,1,0\n1\n", "bad.csv:4"),
         ("0,1.0,1,0\n1,nan,1,0\n", "bad.csv:4"),

@@ -27,6 +27,7 @@ from shellwalk.saw_proposal import (
     path_log_prob,
     propose,
     reverse_sequences,
+    run_walks,
 )
 from shellwalk.weighted_index import WeightedIndexTree
 
@@ -630,6 +631,84 @@ class TestFusedFlip:
             rejected += not accepted
             assert_trees_are_exact(sampler.engine)
         assert rejected >= 10
+
+
+def stepped_walks(engine, uniforms, k, order):
+    """``run_walks`` as a loop of per-step ``sample``, ``flip`` and
+    ``log_prob`` calls: the reference for the engines' ``walk``."""
+    uniforms = iter(uniforms)
+    first_toward = order == ORDER_UP_DOWN
+    picks = []
+    log_fwd = log_rev = 0.0
+    for toward in (first_toward,) * k + (not first_toward,) * k:
+        i, log_p = engine.sample(toward, next(uniforms))
+        log_fwd += log_p
+        engine.flip(i)
+        log_rev += engine.log_prob(not toward, i)
+        picks.append(i)
+    return picks, log_fwd, log_rev
+
+
+def assert_twins_equal(fused, stepped):
+    assert fused._toward._nodes == stepped._toward._nodes
+    assert fused._away._nodes == stepped._away._nodes
+    assert fused._local == stepped._local
+    assert fused.state.spins == stepped.state.spins
+    assert (fused.state.energy, fused.state.distance, fused.evals) == \
+        (stepped.state.energy, stepped.state.distance, stepped.evals)
+
+
+def walk_twins(model, n, seed, audit=False):
+    rng = np.random.default_rng(seed)
+    state = random_shell_state(model, ShellConstraint((0,) * model.num_vars, n), rng,
+                               audit=audit)
+    return (TreeWalkEngine(model, state, 0.8),
+            TreeWalkEngine(model, state.copy(), 0.8))
+
+
+def assert_walks_match(fused, stepped, k, order, seed):
+    first, second, log_fwd, log_rev = run_walks(
+        fused, np.random.default_rng(seed), k, order)
+    uniforms = np.random.default_rng(seed).random(2 * k).tolist()
+    assert (first + second, log_fwd, log_rev) == stepped_walks(stepped, uniforms, k, order)
+    assert_twins_equal(fused, stepped)
+
+
+class TestFusedWalk:
+    @pytest.mark.parametrize("order", [ORDER_UP_DOWN, ORDER_DOWN_UP])
+    @pytest.mark.parametrize("layout", ["grid5-float", "cube3-pm-j"])
+    def test_walks_equal_the_step_loop(self, layout, order):
+        model = grid2d(5, 0.37, 0.11) if layout == "grid5-float" else cube3d_pm_j(3, 7)
+        fused, stepped = walk_twins(model, model.num_vars // 2, 41)
+        limit = feasible_k_max(fused.state.distance, model.num_vars, order)
+        # each walk pair returns to the shell, so the twins walk on from
+        # where the last pair left them
+        for k in range(1, limit + 1):
+            assert_walks_match(fused, stepped, k, order, seed=100 + k)
+
+    @pytest.mark.parametrize("order", [ORDER_UP_DOWN, ORDER_DOWN_UP])
+    def test_audited_walk_across_a_resync(self, order):
+        fused, stepped = walk_twins(grid2d(5, 0.37, 0.11), 12, 43, audit=True)
+        for engine in (fused, stepped):
+            engine.state._flips = RESYNC_INTERVAL - 3
+        evals = fused.evals
+        # the rebuild falls on the third flip of the first walk
+        assert_walks_match(fused, stepped, 6, order, seed=7)
+        assert fused.state._flips == RESYNC_INTERVAL + 9
+        assert fused.evals > evals + fused.model.num_vars
+
+    def test_zero_total_raises_before_a_pick(self):
+        fused, stepped = walk_twins(grid2d(5, 0.37, 0.11), 12, 47)
+        for engine in (fused, stepped):
+            for i in range(engine.model.num_vars):
+                engine._toward.update(i, 0.0)
+        spins = list(fused.state.spins)
+        with pytest.raises(ValueError) as per_step:
+            stepped.sample(True, 0.5)
+        with pytest.raises(ValueError) as walked:
+            run_walks(fused, np.random.default_rng(0), 3, ORDER_UP_DOWN)
+        assert str(walked.value) == str(per_step.value)
+        assert (fused.state.spins, fused.state._flips) == (spins, 0)
 
 
 def draws_of_one_move(rng, params, k, step):
