@@ -17,6 +17,13 @@ ENERGY_REFRESH_INTERVAL = 1 << 14
 COHERENCE_RTOL = 1e-9
 
 
+def bit_tuple(values, name):
+    """``values`` as ints; refuses a value other than 0 or 1, such as 0.5."""
+    if any(v not in (0, 1) for v in values):
+        raise ValueError(f"{name} must be a {{0,1}} vector")
+    return tuple(int(v) for v in values)
+
+
 class IsingModel:
     """Sparse pairwise binary model: couplings on edges plus per-variable fields.
 
@@ -179,9 +186,7 @@ class ShellConstraint:
     distance: int
 
     def __post_init__(self):
-        object.__setattr__(self, "reference", tuple(int(b) for b in self.reference))
-        if any(b not in (0, 1) for b in self.reference):
-            raise ValueError("reference must be a {0,1} vector")
+        object.__setattr__(self, "reference", bit_tuple(self.reference, "reference"))
         if not 0 <= self.distance <= len(self.reference):
             raise ValueError(
                 f"distance {self.distance} out of range [0, {len(self.reference)}]"
@@ -225,13 +230,9 @@ class ShellState:
         if len(reference) != m:
             raise ValueError(f"reference has length {len(reference)}, expected {m}")
         self.model = model
-        bits = [int(b) for b in bits]
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError("bits must be a {0,1} vector")
+        bits = bit_tuple(bits, "bits")
         self.spins = [2.0 * b - 1.0 for b in bits]
-        self.reference = tuple(int(r) for r in reference)
-        if any(r not in (0, 1) for r in self.reference):
-            raise ValueError("reference must be a {0,1} vector")
+        self.reference = bit_tuple(reference, "reference")
         self.distance = sum(b != r for b, r in zip(bits, self.reference))
         self.energy = model.energy(bits)
         self._flips = 0

@@ -130,6 +130,11 @@ def check_walk_lengths(params, distance, num_vars):
             )
 
 
+def may_overflow(model, gamma):
+    """Whether some flip's |gamma * deltaE / 2| can exceed ``MAX_SAFE_EXPONENT``."""
+    return 0.5 * gamma * model.max_flip_delta() > MAX_SAFE_EXPONENT
+
+
 def choose_engine_kind(model, gamma, kind="auto"):
     """Pick the candidate-weight engine.
 
@@ -144,7 +149,7 @@ def choose_engine_kind(model, gamma, kind="auto"):
         raise ValueError(f"engine must be 'auto', 'tree', or 'scan', got {kind!r}")
     if model.average_degree > max(DENSE_DEGREE_FRACTION * model.num_vars, MIN_DENSE_DEGREE):
         return "scan"
-    if 0.5 * gamma * model.max_flip_delta() > MAX_SAFE_EXPONENT:
+    if may_overflow(model, gamma):
         return "scan"
     return "tree"
 
@@ -173,9 +178,10 @@ class TreeWalkEngine:
     for currently disagreeing bits (candidates of toward-steps) and one for
     agreeing bits, plus the local fields sum_j J_ij s_j so a flip only touches
     the flipped bit and its graph neighbors. ``walk`` runs a whole walk in
-    one frame; ``sample``, ``flip`` and ``log_prob`` are its single steps.
-    A flip also flips the bound state with the energy change read off the
-    local field.
+    one frame; ``flip`` runs one step of the same loop on a given bit, so
+    the flip rule is written once. ``sample`` and ``log_prob`` read a step's
+    draw and reverse weight off the trees. A flip also flips the bound state
+    with the energy change read off the local field.
     """
 
     kind = "tree"
@@ -221,72 +227,29 @@ class TreeWalkEngine:
         self.evals += num
 
     def flip(self, i):
-        """Flip bit ``i`` of the bound state and refresh what the flip touches.
-
-        A neighbour j's climb stops below its junction, the lowest ancestor
-        its leaf shares with bit i's: ``(base + j) >> (i ^ j).bit_length()``.
-        Bit i's climb runs last and rewrites its whole path in both trees,
-        every junction included. Each climb carries the running sum, the
-        value just written plus its sibling: bit for bit the fresh build's
-        left + right, as IEEE addition commutes. Any later climb that changes
-        a node's subtree passes through that node again, so every node is
-        rewritten after all the changes beneath it and equals a fresh
-        ``WeightedIndexTree`` build's from the same leaves.
-        """
-        model = self.model
-        state = self.state
-        spins = state.spins
-        local = self._local
-        fields = model.fields
-        neg_gamma = -self.gamma
-        exp = math.exp
-        base = self._base
-        toward = self._toward._nodes
-        away = self._away._nodes
-        # bit i's field is untouched by its own flip (no self-couplings)
-        field_i = local[i] + fields[i]
-        state.flip(i, 2.0 * spins[i] * field_i)
-        disagree_spin = self._disagree_spin
-        s_new = spins[i]
-        step = 2.0 * s_new
-        neighbors = model.adjacency[i]
-        for j, coupling in neighbors:
-            local[j] = local_j = local[j] + step * coupling
-            s_j = spins[j]
-            nodes = toward if s_j == disagree_spin[j] else away
-            p = base + j
-            nodes[p] = v = exp(neg_gamma * s_j * (local_j + fields[j]))
-            # the parent lies below the junction while p > 2 * junction + 1
-            stop = (p >> (i ^ j).bit_length()) * 2 + 1
-            while p > stop:
-                v += nodes[p ^ 1]
-                p >>= 1
-                nodes[p] = v
-        # bit i moves from one candidate set to the other: both trees climb
-        # from its leaf to the root together
-        old, new = (away, toward) if s_new == disagree_spin[i] else (toward, away)
-        p = base + i
-        old[p] = v_old = 0.0
-        new[p] = v_new = exp(neg_gamma * s_new * field_i)
-        while p > 1:
-            q = p ^ 1
-            v_old += old[q]
-            v_new += new[q]
-            p >>= 1
-            old[p] = v_old
-            new[p] = v_new
-        self.evals += len(neighbors) + 1
-        if state._flips % RESYNC_INTERVAL == 0:
-            self.sync()
+        """Flip bit ``i`` of the bound state: one step of ``walk`` on bit ``i``."""
+        self._steps(self.state.in_disagree(i), (i,), False, [], 0.0, 0.0)
 
     def walk(self, toward, uniforms, k, picks, log_fwd, log_rev):
         """Walk ``k`` steps, appending the picked bits to ``picks``; returns
-        ``log_fwd`` and ``log_rev`` with each step's log probabilities added.
+        ``log_fwd`` and ``log_rev`` with each step's log probabilities added."""
+        return self._steps(toward, islice(uniforms, k), True, picks, log_fwd, log_rev)
 
-        A step is ``sample``, ``flip`` and ``log_prob`` in the same
-        arithmetic, calling only the tree's draw and the state's flip. Fields
-        and trees are bound once and again after a ``sync``, which replaces
-        them."""
+    def _steps(self, toward, sources, drawn, picks, log_fwd, log_rev):
+        """The step loop of ``walk`` and ``flip``: each source is a uniform
+        for the source tree's draw when ``drawn``, else the bit to flip.
+
+        Fields and trees are bound once and again after a ``sync``, which
+        replaces them. A neighbour j's climb stops below its junction, the
+        lowest ancestor its leaf shares with bit i's:
+        ``(base + j) >> (i ^ j).bit_length()``. Bit i's climb runs last and
+        rewrites its whole path in both trees, every junction included. Each
+        climb carries the running sum, the value just written plus its
+        sibling: bit for bit the fresh build's left + right, as IEEE
+        addition commutes. Any later climb that changes a node's subtree
+        passes through that node again, so every node is rewritten after all
+        the changes beneath it and equals a fresh ``WeightedIndexTree``
+        build's from the same leaves."""
         state = self.state
         spins = state.spins
         state_flip = state.flip
@@ -299,11 +262,12 @@ class TreeWalkEngine:
         log = math.log
         evals = 0
         local, toward_nodes, away_nodes, sample, old, new = self._walk_frame(toward)
-        for u in islice(uniforms, k):
-            i = sample(u)
+        for u in sources:
+            i = sample(u) if drawn else u
             p = base + i
             # the draw never lands on a zero leaf, and raises on a zero total
             log_fwd += log(old[p]) - log(old[1])
+            # bit i's field is untouched by its own flip (no self-couplings)
             field_i = local[i] + fields[i]
             state_flip(i, 2.0 * spins[i] * field_i)
             s_new = spins[i]
@@ -315,11 +279,13 @@ class TreeWalkEngine:
                 nodes = toward_nodes if s_j == disagree_spin[j] else away_nodes
                 q = base + j
                 nodes[q] = v = exp(neg_gamma * s_j * (local_j + fields[j]))
+                # the parent lies below the junction while q > 2 * junction + 1
                 stop = (q >> (i ^ j).bit_length()) * 2 + 1
                 while q > stop:
                     v += nodes[q ^ 1]
                     q >>= 1
                     nodes[q] = v
+            # bit i leaves the source set: both trees climb from its leaf
             old[p] = v_old = 0.0
             new[p] = v_new = exp(neg_gamma * s_new * field_i)
             while p > 1:
@@ -344,7 +310,7 @@ class TreeWalkEngine:
         return log_fwd, log_rev
 
     def _walk_frame(self, toward):
-        """What ``walk`` binds: the local fields, both trees' nodes, the
+        """What the step loop binds: the local fields, both trees' nodes, the
         source tree's draw, and the source and target trees' nodes."""
         src, dst = (self._toward, self._away) if toward else (self._away, self._toward)
         return (self._local, self._toward._nodes, self._away._nodes,
@@ -405,7 +371,7 @@ class ScanWalkEngine:
         # gamma * rho, rho = 2 * reference - 1: a disagreeing bit's spin is -rho
         self._gamma_rho = gamma * (2.0 * np.array(state.reference, dtype=np.float64) - 1.0)
         # skip the per-step shift when no flip can push exp() near overflow
-        self._may_overflow = 0.5 * gamma * model.max_flip_delta() > MAX_SAFE_EXPONENT
+        self._may_overflow = may_overflow(model, gamma)
         self._local = None
         self.sync()
 

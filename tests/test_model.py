@@ -196,6 +196,20 @@ class TestSideIndices:
         with pytest.raises(ValueError, match=r"reference must be a \{0,1\} vector"):
             ShellState(free_model(3), [1, 0, 0], [2, 0, 0])
 
+    def test_fractional_bits_are_refused_not_truncated(self):
+        model = grid2d(2)
+        with pytest.raises(ValueError, match=r"bits must be a \{0,1\} vector"):
+            ShellState(model, [0.5, 1.9, 0, 0], (0, 0, 0, 0))
+        with pytest.raises(ValueError, match=r"reference must be a \{0,1\} vector"):
+            ShellState(model, [0, 0, 0, 0], (0, 0.5, 0, 0))
+
+    def test_integral_values_of_any_type_are_bits(self):
+        bits = [1.0, True, np.int64(1), np.uint8(0)]
+        state = ShellState(grid2d(2), bits, np.array([0, 1, 0.0, False], dtype=object))
+        assert state.bits == [1, 1, 1, 0]
+        assert state.reference == (0, 1, 0, 0)
+        assert state.distance == 2
+
 
 class TestModelValidation:
     def test_rejects_duplicate_edges(self):
@@ -234,3 +248,8 @@ class TestShellConstraint:
             ShellConstraint((0, 1, 0), 4)
         with pytest.raises(ValueError):
             ShellConstraint((0, 1, 0), -1)
+
+    def test_fractional_reference_is_refused_not_truncated(self):
+        with pytest.raises(ValueError, match=r"reference must be a \{0,1\} vector"):
+            ShellConstraint((0.7, 0, 0, 0), 1)
+        assert ShellConstraint((1.0, 0, np.int64(1), False), 1).reference == (1, 0, 1, 0)

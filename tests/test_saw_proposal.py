@@ -635,7 +635,10 @@ class TestFusedFlip:
 
 def stepped_walks(engine, uniforms, k, order):
     """``run_walks`` as a loop of per-step ``sample``, ``flip`` and
-    ``log_prob`` calls: the reference for the engines' ``walk``."""
+    ``log_prob`` calls. ``flip`` runs a step of ``walk``'s own loop, so
+    this checks ``sample`` and ``log_prob`` against the walk; the
+    independent oracle for the flip arithmetic is
+    ``assert_trees_are_exact``, a fresh ``WeightedIndexTree`` build."""
     uniforms = iter(uniforms)
     first_toward = order == ORDER_UP_DOWN
     picks = []
