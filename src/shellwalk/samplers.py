@@ -13,6 +13,7 @@ from .analysis import write_trace_csv
 from .errors import CoherenceError, ConfigurationError
 from .model import IsingModel, ShellConstraint, ShellState
 from .saw_proposal import (
+    BitDraws,
     SawParams,
     check_walk_lengths,
     draw_move_shape,
@@ -29,47 +30,6 @@ def chain_rng(master_seed, chain_index=0):
     """
     seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(chain_index),))
     return np.random.default_rng(seq)
-
-
-class BitDraws:
-    """``int(rng.integers(0, n))`` and ``rng.random()`` without numpy's
-    per-call overhead: the same values, drawn from the same stream.
-
-    ``below(n)`` is numpy's 32-bit Lemire draw (Lemire 2019, *Fast random
-    integer generation in an interval*): the high word of
-    ``next_uint32 * n``, redrawn while the low word falls below
-    ``(2**32 - n) % n``. Its values are numpy's for 1 <= n <= 2**32 only;
-    ``n == 1`` consumes nothing, as in numpy. ``uniform()`` is the bit
-    generator's ``next_double``, which ``rng.random()`` returns. Both call
-    the generator's own functions on its own state through its ctypes
-    interface, so its 32-bit buffer and every later draw of ``rng`` stay as
-    numpy's calls would leave them. No lock is taken: one chain owns its
-    generator, as everywhere in this package.
-    """
-
-    __slots__ = ("_rng", "_state", "_next_uint32", "_next_double")
-
-    def __init__(self, rng):
-        interface = rng.bit_generator.ctypes
-        self._rng = rng  # the interface holds raw pointers into it
-        self._state = interface.state
-        self._next_uint32 = interface.next_uint32
-        self._next_double = interface.next_double
-
-    def below(self, n):
-        """A uniform integer in [0, n), for 1 <= n <= 2**32."""
-        if n == 1:
-            return 0
-        m = self._next_uint32(self._state) * n
-        if m & 0xFFFFFFFF < n:
-            threshold = (0x100000000 - n) % n
-            while m & 0xFFFFFFFF < threshold:
-                m = self._next_uint32(self._state) * n
-        return m >> 32
-
-    def uniform(self):
-        """A uniform double in [0, 1)."""
-        return self._next_double(self._state)
 
 
 def random_shell_state(model, constraint: ShellConstraint, rng, audit=False):
@@ -152,8 +112,11 @@ class ChainRecord:
 class ImSampler:
     """One chain of the intracluster-move sampler.
 
-    Per move the random stream is consumed in a fixed order: walk length,
-    order (random policy only), one uniform per walk step, accept uniform.
+    Per move the random stream is consumed in a fixed order: walk length
+    (nothing for a fixed length), order (random policy only), one uniform
+    per walk step, accept uniform. The length, order and accept draws go
+    through ``BitDraws``, so they are the values ``rng.integers`` and
+    ``rng.random`` would give.
     The move is accepted with probability
     ``min(1, exp(-beta*(E1 - E0)) * f_rev / f_fwd)``; the shell normalizer
     cancels in the ratio and is never computed. A rejected move restores the
@@ -167,6 +130,7 @@ class ImSampler:
         self.state = state
         self.config = config
         self.rng = rng if rng is not None else np.random.default_rng(config.seed)
+        self._draws = BitDraws(self.rng)
         self.shell_distance = state.distance
         check_walk_lengths(config.saw, state.distance, model.num_vars)
         self.engine = make_engine(model, state, config.saw.gamma, config.engine)
@@ -180,17 +144,17 @@ class ImSampler:
         """Attempt one move; returns (accepted, walk length k)."""
         state = self.state
         engine = self.engine
-        rng = self.rng
+        draws = self._draws
         energy_before = state.energy
         k, order = draw_move_shape(
-            self.config.saw, rng, state.distance, self.model.num_vars
+            self.config.saw, draws, state.distance, self.model.num_vars
         )
         saved = engine.checkpoint()
-        _, _, log_fwd, log_rev = run_walks(engine, rng, k, order)
+        _, _, log_fwd, log_rev = run_walks(engine, self.rng, k, order)
         log_alpha = -self.config.beta * (state.energy - energy_before) + log_rev - log_fwd
         if log_alpha > 0.0:
             log_alpha = 0.0
-        accepted = rng.random() < math.exp(log_alpha)
+        accepted = draws.uniform() < math.exp(log_alpha)
         if not accepted:
             engine.restore(saved)
         self.accepts += accepted

@@ -56,6 +56,47 @@ MIN_DENSE_DEGREE = 8.0
 RESYNC_INTERVAL = 1 << 16
 
 
+class BitDraws:
+    """``int(rng.integers(0, n))`` and ``rng.random()`` without numpy's
+    per-call overhead: the same values, drawn from the same stream.
+
+    ``below(n)`` is numpy's 32-bit Lemire draw (Lemire 2019, *Fast random
+    integer generation in an interval*): the high word of
+    ``next_uint32 * n``, redrawn while the low word falls below
+    ``(2**32 - n) % n``. Its values are numpy's for 1 <= n <= 2**32 only;
+    ``n == 1`` consumes nothing, as in numpy. ``uniform()`` is the bit
+    generator's ``next_double``, which ``rng.random()`` returns. Both call
+    the generator's own functions on its own state through its ctypes
+    interface, so its 32-bit buffer and every later draw of ``rng`` stay as
+    numpy's calls would leave them. No lock is taken: one chain owns its
+    generator, as everywhere in this package.
+    """
+
+    __slots__ = ("_rng", "_state", "_next_uint32", "_next_double")
+
+    def __init__(self, rng):
+        interface = rng.bit_generator.ctypes
+        self._rng = rng  # the interface holds raw pointers into it
+        self._state = interface.state
+        self._next_uint32 = interface.next_uint32
+        self._next_double = interface.next_double
+
+    def below(self, n):
+        """A uniform integer in [0, n), for 1 <= n <= 2**32."""
+        if n == 1:
+            return 0
+        m = self._next_uint32(self._state) * n
+        if m & 0xFFFFFFFF < n:
+            threshold = (0x100000000 - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._next_uint32(self._state) * n
+        return m >> 32
+
+    def uniform(self):
+        """A uniform double in [0, 1)."""
+        return self._next_double(self._state)
+
+
 @dataclass(frozen=True)
 class SawParams:
     """Walk configuration: bias strength, length range, and walk order."""
@@ -71,6 +112,11 @@ class SawParams:
         if not 0 <= self.k_min <= self.k_max:
             raise ValueError(
                 f"need 0 <= k_min <= k_max, got [{self.k_min}, {self.k_max}]"
+            )
+        # BitDraws.below draws k from at most 2**32 lengths
+        if self.k_max - self.k_min >= 1 << 32:
+            raise ValueError(
+                f"k_max - k_min must be below 2**32, got [{self.k_min}, {self.k_max}]"
             )
         if self.order_policy not in ORDER_POLICIES:
             raise ValueError(
@@ -193,6 +239,8 @@ class TreeWalkEngine:
         self.evals = 0
         # a disagreeing bit's spin: -1.0 where the reference bit is 1
         self._disagree_spin = [1.0 - 2.0 * r for r in state.reference]
+        # each bit's junction row, built by its first flip (see ``_steps``)
+        self._rows = [None] * model.num_vars
         self._local = None
         self.sync()
 
@@ -202,6 +250,7 @@ class TreeWalkEngine:
         model = self.model
         state = self.state
         spins = state.spins
+        disagree_spin = self._disagree_spin
         gamma = self.gamma
         fields = model.fields
         num = model.num_vars
@@ -215,7 +264,7 @@ class TreeWalkEngine:
             local[i] = acc
             # half of deltaE_i = spins[i] * (local field + external field)
             w = math.exp(-gamma * spins[i] * (acc + fields[i]))
-            if state.in_disagree(i):
+            if spins[i] == disagree_spin[i]:
                 toward_w[i] = w
             else:
                 away_w[i] = w
@@ -228,7 +277,8 @@ class TreeWalkEngine:
 
     def flip(self, i):
         """Flip bit ``i`` of the bound state: one step of ``walk`` on bit ``i``."""
-        self._steps(self.state.in_disagree(i), (i,), False, [], 0.0, 0.0)
+        self._steps(self.state.spins[i] == self._disagree_spin[i], (i,), False,
+                    [], 0.0, 0.0)
 
     def walk(self, toward, uniforms, k, picks, log_fwd, log_rev):
         """Walk ``k`` steps, appending the picked bits to ``picks``; returns
@@ -242,9 +292,14 @@ class TreeWalkEngine:
         Fields and trees are bound once and again after a ``sync``, which
         replaces them. A neighbour j's climb stops below its junction, the
         lowest ancestor its leaf shares with bit i's:
-        ``(base + j) >> (i ^ j).bit_length()``. Bit i's climb runs last and
-        rewrites its whole path in both trees, every junction included. Each
-        climb carries the running sum, the value just written plus its
+        ``(base + j) >> (i ^ j).bit_length()``. Bit i's first flip builds
+        its row, one ``(j, coupling, leaf, stop)`` per neighbour, with
+        ``leaf = base + j`` and ``stop = 2 * junction + 1``: the climb writes
+        parents while the node is above ``stop``, so it ends on the
+        junction's child. A row depends on the model alone; an isolated
+        bit's is empty, hence the ``is None`` test. Bit i's climb runs last
+        and rewrites its whole path in both trees, every junction included.
+        Each climb carries the running sum, the value just written plus its
         sibling: bit for bit the fresh build's left + right, as IEEE
         addition commutes. Any later climb that changes a node's subtree
         passes through that node again, so every node is rewritten after all
@@ -255,6 +310,7 @@ class TreeWalkEngine:
         state_flip = state.flip
         fields = self.model.fields
         adjacency = self.model.adjacency
+        rows = self._rows
         disagree_spin = self._disagree_spin
         neg_gamma = -self.gamma
         base = self._base
@@ -272,15 +328,17 @@ class TreeWalkEngine:
             state_flip(i, 2.0 * spins[i] * field_i)
             s_new = spins[i]
             step = 2.0 * s_new
-            neighbors = adjacency[i]
-            for j, coupling in neighbors:
+            row = rows[i]
+            if row is None:
+                row = rows[i] = [
+                    (j, coupling, (leaf := base + j),
+                     (leaf >> (i ^ j).bit_length()) * 2 + 1)
+                    for j, coupling in adjacency[i]]
+            for j, coupling, q, stop in row:
                 local[j] = local_j = local[j] + step * coupling
                 s_j = spins[j]
                 nodes = toward_nodes if s_j == disagree_spin[j] else away_nodes
-                q = base + j
                 nodes[q] = v = exp(neg_gamma * s_j * (local_j + fields[j]))
-                # the parent lies below the junction while q > 2 * junction + 1
-                stop = (q >> (i ^ j).bit_length()) * 2 + 1
                 while q > stop:
                     v += nodes[q ^ 1]
                     q >>= 1
@@ -295,7 +353,7 @@ class TreeWalkEngine:
                 p >>= 1
                 old[p] = v_old
                 new[p] = v_new
-            evals += len(neighbors) + 1
+            evals += len(row) + 1
             if state._flips % RESYNC_INTERVAL == 0:
                 self.sync()
                 local, toward_nodes, away_nodes, sample, old, new = self._walk_frame(toward)
@@ -322,8 +380,10 @@ class TreeWalkEngine:
                 self._toward.checkpoint(), self._away.checkpoint())
 
     def restore(self, saved):
-        """Return the bound state and the engine in place to a ``checkpoint``."""
-        state, self._local[:], toward, away = saved
+        """Return to a ``checkpoint``: the bound state in place, while the
+        engine takes the checkpoint's local-field and node lists as its own
+        instead of copying them back, so each checkpoint restores once."""
+        state, self._local, toward, away = saved
         self.state.restore(state)
         self._toward.restore(toward)
         self._away.restore(away)
@@ -334,7 +394,7 @@ class TreeWalkEngine:
         return i, tree.log_weight_fraction(i)
 
     def log_prob(self, toward, i):
-        if self.state.in_disagree(i) != toward:
+        if (self.state.spins[i] == self._disagree_spin[i]) != toward:
             return NEG_INF
         tree = self._toward if toward else self._away
         return tree.log_weight_fraction(i)
@@ -468,19 +528,21 @@ class ScanWalkEngine:
         return (z.item(i) - shift) - math.log(np.add.reduce(weights).item())
 
 
-def draw_move_shape(params, rng, distance, num_vars):
-    """Draw (k, order) for one move; k is clamped to the feasible range.
+def draw_move_shape(params, draws, distance, num_vars):
+    """Draw (k, order) for one move through ``draws``, a ``BitDraws``; k is
+    clamped to the feasible range.
 
-    One integer is always consumed for k (even for a fixed length) so the
-    stream layout does not depend on parameter values; the random order policy
-    consumes one extra uniform. The feasible range depends only on the shell,
-    which is invariant along a chain, so the clamping cancels in the accept
-    ratio. Callers check ``k_min`` once with ``check_walk_lengths``.
+    k is ``int(rng.integers(k_min, k_max + 1))``'s value and draw: one
+    bounded integer when the range holds more than one length, nothing for
+    a fixed length. The random order policy then draws one uniform. The
+    feasible range depends only on the shell, which is invariant along a
+    chain, so the clamping cancels in the accept ratio. Callers check
+    ``k_min`` once with ``check_walk_lengths``.
     """
-    k_raw = int(rng.integers(params.k_min, params.k_max + 1))
+    k_raw = params.k_min + draws.below(params.k_max - params.k_min + 1)
     order = params.order_policy
     if order == "random":
-        order = ORDER_UP_DOWN if rng.random() < 0.5 else ORDER_DOWN_UP
+        order = ORDER_UP_DOWN if draws.uniform() < 0.5 else ORDER_DOWN_UP
     return min(k_raw, feasible_k_max(distance, num_vars, order)), order
 
 
@@ -509,13 +571,13 @@ def run_walks(engine, rng, k, order):
 def propose(model, state, params, rng, engine="auto"):
     """Draw one move from ``state``; the input state is left untouched.
 
-    Draw order from ``rng``: walk length, then order (random policy only),
-    then one uniform per walk step.
+    Draw order from ``rng``: walk length (none for a fixed length), then
+    order (random policy only), then one uniform per walk step.
     """
     check_walk_lengths(params, state.distance, model.num_vars)
     work = state.copy()
     eng = make_engine(model, work, params.gamma, engine)
-    k, order = draw_move_shape(params, rng, work.distance, model.num_vars)
+    k, order = draw_move_shape(params, BitDraws(rng), work.distance, model.num_vars)
     first, second, log_fwd, log_rev = run_walks(eng, rng, k, order)
     return SawMove(
         order=order,

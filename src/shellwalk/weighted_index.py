@@ -70,17 +70,12 @@ class WeightedIndexTree:
         target = u * total
         node = 1
         while node < base:
-            left = 2 * node
-            lw = nodes[left]
-            rw = nodes[left + 1]
+            node += node
+            lw = nodes[node]
             # never descend into an empty subtree, so zero-weight leaves are
             # unreachable even when rounding pushes target onto a boundary
-            if rw <= 0.0:
-                node = left
-            elif target < lw:
-                node = left
-            else:
-                node = left + 1
+            if not (target < lw or nodes[node + 1] <= 0.0):
+                node += 1
                 target -= lw
         return node - base
 
@@ -101,5 +96,7 @@ class WeightedIndexTree:
         return list(self._nodes)
 
     def restore(self, nodes):
-        """Return in place to a ``checkpoint`` of this tree."""
-        self._nodes[:] = nodes
+        """Return to ``nodes``, a ``checkpoint`` of a tree of this size, by
+        taking the list as this tree's own instead of copying it back; each
+        checkpoint restores once."""
+        self._nodes = nodes

@@ -23,7 +23,14 @@ from shellwalk.errors import CoherenceError, ConfigurationError
 from shellwalk.generators import cube3d_pm_j, grid2d, rbm_gabor
 from shellwalk.oracle import check_pathwise_db
 from shellwalk.samplers import BitDraws
-from shellwalk.saw_proposal import propose
+from shellwalk.saw_proposal import (
+    ORDER_DOWN_UP,
+    ORDER_POLICIES,
+    ORDER_UP_DOWN,
+    draw_move_shape,
+    feasible_k_max,
+    propose,
+)
 
 
 def free_model(num_vars):
@@ -135,8 +142,16 @@ def rejecting_chain(engine, seed):
 
 
 class TestRollback:
-    @pytest.mark.parametrize("engine", ["tree", "scan"])
-    def test_rejected_step_restores_everything(self, engine):
+    # at interval 7 most rejected tree walks rebuild the trees mid-walk, so
+    # restore hands the pre-walk lists to the rebuilt tree objects
+    @pytest.mark.parametrize("engine, resync", [
+        pytest.param("tree", None, id="tree"),
+        pytest.param("scan", None, id="scan"),
+        pytest.param("tree", 7, id="tree-resync-7"),
+    ])
+    def test_rejected_step_restores_everything(self, engine, resync, monkeypatch):
+        if resync is not None:
+            monkeypatch.setattr("shellwalk.saw_proposal.RESYNC_INTERVAL", resync)
         model, state, config, rng = rejecting_chain(engine, 8)
         sampler = ImSampler(model, state, config, rng=rng)
         rejected = 0
@@ -320,6 +335,39 @@ class TestBitDraws:
                 n = self.RANGES[pick]
                 assert draws.below(n) == int(rng.integers(0, n))
         assert_same_stream(rng, twin)
+
+
+def parent_move_shape(params, rng, distance, num_vars):
+    """The walk length and order as drawn with numpy's calls."""
+    k_raw = int(rng.integers(params.k_min, params.k_max + 1))
+    order = params.order_policy
+    if order == "random":
+        order = ORDER_UP_DOWN if rng.random() < 0.5 else ORDER_DOWN_UP
+    return min(k_raw, feasible_k_max(distance, num_vars, order)), order
+
+
+class TestMoveShapeDraws:
+    # distance 20 of 60 bits: up_down walks are clamped to 20, down_up to 40
+    @pytest.mark.parametrize("policy", ORDER_POLICIES)
+    @pytest.mark.parametrize("k_min, k_max", [(24, 24), (1, 25), (0, 3)])
+    def test_matches_numpy_draws(self, k_min, k_max, policy):
+        params = SawParams(gamma=0.5, k_min=k_min, k_max=k_max, order_policy=policy)
+        rng, twin = twin_generators(np.random.PCG64, 17)
+        draws = BitDraws(twin)
+        shapes = set()
+        for _ in range(400):
+            before = repr(twin.bit_generator.state)
+            shape = draw_move_shape(params, draws, 20, 60)
+            assert shape == parent_move_shape(params, rng, 20, 60)
+            if k_min == k_max and policy != "random":
+                # a fixed length draws nothing
+                assert repr(twin.bit_generator.state) == before
+            assert draws.uniform() == rng.random()
+            shapes.add(shape)
+        assert_same_stream(rng, twin)
+        orders = {ORDER_UP_DOWN, ORDER_DOWN_UP} if policy == "random" else {policy}
+        assert {order for _, order in shapes} == orders
+        assert len(shapes) > 1 or k_min == k_max
 
 
 class ParentMetropolis:

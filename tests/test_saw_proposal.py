@@ -86,6 +86,9 @@ class TestSawParams:
             SawParams(gamma=1.0, k_min=3, k_max=2)
         with pytest.raises(ValueError):
             SawParams(gamma=1.0, k_min=1, k_max=2, order_policy="sideways")
+        SawParams(gamma=1.0, k_min=1, k_max=2**32)
+        with pytest.raises(ValueError, match=r"2\*\*32"):
+            SawParams(gamma=1.0, k_min=0, k_max=2**32)
 
 
 class TestReverseSequences:
@@ -562,12 +565,16 @@ def float_ring(num_vars, seed):
 # Layouts where a neighbour's leaf meets a flipped bit's leaf at many tree
 # levels: wrap edges of a periodic cube (125 of 128 leaves); a grid that
 # fills its tree (M = 16 leaves); a 17-bit ring on a 32-leaf tree, whose
-# wrap edge 0-16 meets only at the root; a one-level tree of 2 bits.
+# wrap edge 0-16 meets only at the root; a one-level tree of 2 bits; a
+# chain with an isolated bit, whose junction row is empty.
 JUNCTION_LAYOUTS = {
     "cube5-periodic": lambda: cube3d_pm_j(5, 13, periodic=True),
     "grid4": lambda: grid2d(4, 0.37, 0.11),
     "ring17": lambda: float_ring(17, 5),
     "pair": lambda: IsingModel(2, [(0, 1, 0.61)], [0.2, -0.35]),
+    "isolated": lambda: IsingModel(
+        6, [(0, 1, 0.61), (1, 3, -0.47), (3, 4, 0.29), (4, 5, 0.83)],
+        [0.2, -0.35, 0.41, 0.05, -0.15, 0.3]),
 }
 
 

@@ -98,6 +98,29 @@ class TestSample:
         seen = {tree.sample(u) for u in rng.random(2000)}
         assert seen <= {1, 3}
 
+    def test_descent_matches_two_child_reads(self):
+        # the descent reads the right child only when the target passes the
+        # left; it must pick the leaf of the descent that reads both children
+        # first, at every prefix boundary and next to it
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            size = int(rng.integers(1, 40))
+            weights = rng.uniform(0.0, 1.0, size) * 10.0 ** rng.integers(-3, 4, size)
+            weights[rng.random(size) < 0.4] = 0.0
+            if weights.sum() <= 0.0:
+                continue
+            tree = WeightedIndexTree(weights)
+            total = tree.total
+            us = set(rng.random(20).tolist())
+            for acc in np.cumsum(weights).tolist():
+                u = acc / total
+                us.update(x for x in (np.nextafter(u, 0.0), u, np.nextafter(u, 1.0))
+                          if 0.0 <= x < 1.0)
+            for u in us:
+                i = tree.sample(u)
+                assert i == two_child_descent(tree, u)
+                assert weights[i] > 0.0
+
 
 class TestUpdate:
     def test_update_to_zero_removes_support(self):
@@ -133,6 +156,25 @@ class TestUpdate:
         tree = WeightedIndexTree([1.0, 2.0])
         with pytest.raises(IndexError):
             tree.update(2, 1.0)
+
+
+def two_child_descent(tree, u):
+    """The sum-tree descent reading both children at each level."""
+    nodes, base = tree._nodes, tree._base
+    target = u * nodes[1]
+    node = 1
+    while node < base:
+        left = 2 * node
+        lw = nodes[left]
+        rw = nodes[left + 1]
+        if rw <= 0.0:
+            node = left
+        elif target < lw:
+            node = left
+        else:
+            node = left + 1
+            target -= lw
+    return node - base
 
 
 class TestLogWeightFraction:
