@@ -108,14 +108,15 @@ def load_trace(path):
                     )
                 header_seen = True
                 continue
-            parts = line.split(",")
             try:
-                energy = float(parts[1]) if len(parts) == 4 else math.nan
+                step, energy, accepted, k = line.split(",")
+                int(step), int(accepted), int(k)
+                energy = float(energy)
             except ValueError:
                 energy = math.nan
             if not math.isfinite(energy):
-                raise ModelFormatError(f"{path}:{number}: expected 4 fields "
-                                       f"with a finite energy, got {line!r}")
+                raise ModelFormatError(f"{path}:{number}: expected integer step, "
+                                       f"accepted and k and a finite energy, got {line!r}")
             energies.append(energy)
     if not energies:
         raise ModelFormatError(f"{path}: no data rows")

@@ -24,6 +24,7 @@ import numpy as np
 from . import analysis
 from .errors import ConfigurationError
 from .generators import cube3d_pm_j, grid2d, rbm_gabor, save_model
+from .model import integral
 from .samplers import ChainSpec, ImConfig, burn_in_moves
 from .saw_proposal import SawParams
 
@@ -32,6 +33,9 @@ PRESET_NAMES = ("ferro2d", "glass3d", "rbm")
 SAMPLERS = ("im", "metropolis")
 # the samplers' names in the figures
 LABELS = {"im": "walk sampler", "metropolis": "metropolis"}
+MODEL_FILE = "model.json"
+ENERGY_OVERLAY = "energy_overlay.svg"
+SUMMARY = "summary.json"
 
 CRITICAL_BETA = 1.0 / 2.27
 
@@ -72,6 +76,7 @@ def preset_config(preset, scale, seed=0, trials=10, im_moves=None,
         raise ConfigurationError(f"unknown scale {scale!r}; choose from {SCALES}")
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
+    seed = integral(seed, "seed")
     if not (math.isfinite(burn_in_fraction) and burn_in_fraction >= 0.0):
         raise ConfigurationError(
             f"burn_in_fraction must be finite and >= 0, got {burn_in_fraction}"
@@ -150,7 +155,7 @@ def preset_config(preset, scale, seed=0, trials=10, im_moves=None,
         scale=scale,
         order_policy="up_down",
         trials=trials,
-        seed=int(seed),
+        seed=seed,
         burn_in_fraction=float(burn_in_fraction),
         max_lag=int(max_lag),
         **spec,
@@ -230,8 +235,8 @@ def run_config(config: ExperimentConfig, out_dir=".", workers=1,
     """
     os.makedirs(out_dir, exist_ok=True)
     model = build_model(config)
-    save_model(model, os.path.join(out_dir, "model.json"))
-    produced = [{"path": "model.json", "kind": "model",
+    save_model(model, os.path.join(out_dir, MODEL_FILE))
+    produced = [{"path": MODEL_FILE, "kind": "model",
                  "params": {"generator": config.generator, **config.generator_args}}]
 
     chains = {sampler: [] for sampler in SAMPLERS}
@@ -245,7 +250,7 @@ def run_config(config: ExperimentConfig, out_dir=".", workers=1,
             if progress:
                 progress(spec)
             cost = analysis.sample_cost(spec.sampler, spec.stride, config.fair_ratio)
-            name = spec.write_trace(record, out_dir, "model.json", cost_per_sample=cost)
+            name = spec.write_trace(record, out_dir, MODEL_FILE, cost_per_sample=cost)
             produced.append({"path": name, "kind": "trace",
                              "params": {"sampler": spec.sampler, "trial": spec.trial,
                                         "moves": spec.moves, "stride": spec.stride}})
@@ -307,13 +312,13 @@ def run_config(config: ExperimentConfig, out_dir=".", workers=1,
         x_label="compute-normalized time",
         y_label="energy",
     )
-    with open(os.path.join(out_dir, "energy_overlay.svg"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(out_dir, ENERGY_OVERLAY), "w", encoding="utf-8") as fh:
         fh.write(energy_svg)
-    produced.append({"path": "energy_overlay.svg", "kind": "figure",
+    produced.append({"path": ENERGY_OVERLAY, "kind": "figure",
                      "params": {"curves": ["im", "metropolis"], "trial": 0}})
 
-    analysis.write_json(os.path.join(out_dir, "summary.json"), summary)
-    produced.append({"path": "summary.json", "kind": "summary", "params": {}})
+    analysis.write_json(os.path.join(out_dir, SUMMARY), summary)
+    produced.append({"path": SUMMARY, "kind": "summary", "params": {}})
     analysis.write_manifest(out_dir, produced, preset=config.preset,
                             scale=config.scale, seed=config.seed,
                             trials=config.trials)

@@ -24,6 +24,16 @@ def bit_tuple(values, name):
     return tuple(int(v) for v in values)
 
 
+def integral(value, name):
+    """``value`` as an int; refuses a fractional value such as 1.5."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 class IsingModel:
     """Sparse pairwise binary model: couplings on edges plus per-variable fields.
 
@@ -187,6 +197,7 @@ class ShellConstraint:
 
     def __post_init__(self):
         object.__setattr__(self, "reference", bit_tuple(self.reference, "reference"))
+        object.__setattr__(self, "distance", integral(self.distance, "distance"))
         if not 0 <= self.distance <= len(self.reference):
             raise ValueError(
                 f"distance {self.distance} out of range [0, {len(self.reference)}]"
@@ -201,9 +212,9 @@ class ShellState:
     """A configuration, kept once as +/-1 ``spins``, with its cached energy
     and Hamming distance to a reference state.
 
-    Which side of the agree/disagree partition a bit is on is read off its
-    spin and the reference; each side's index list is built on demand, in
-    one pass over ``spins`` and ``reference``. The
+    Bit i disagrees with the reference exactly when ``spins[i] ==
+    disagree_spin[i]``, the spin ``1.0 - 2.0 * reference[i]``; every side
+    test reads this tuple, built once and shared by each ``copy``. The
     cached energy is refreshed from scratch every ``ENERGY_REFRESH_INTERVAL``
     flips; with ``audit=True`` the refresh also asserts coherence of the
     cache, and the samplers check after every move that the state kept its
@@ -217,6 +228,7 @@ class ShellState:
         "model",
         "spins",
         "reference",
+        "disagree_spin",
         "distance",
         "energy",
         "_flips",
@@ -233,7 +245,8 @@ class ShellState:
         bits = bit_tuple(bits, "bits")
         self.spins = [2.0 * b - 1.0 for b in bits]
         self.reference = bit_tuple(reference, "reference")
-        self.distance = sum(b != r for b, r in zip(bits, self.reference))
+        self.disagree_spin = tuple([1.0 - 2.0 * r for r in self.reference])
+        self.distance = sum(s == d for s, d in zip(self.spins, self.disagree_spin))
         self.energy = model.energy(bits)
         self._flips = 0
         self.audit = audit
@@ -243,6 +256,7 @@ class ShellState:
         new.model = self.model
         new.spins = list(self.spins)
         new.reference = self.reference
+        new.disagree_spin = self.disagree_spin
         new.distance = self.distance
         new.energy = self.energy
         new._flips = self._flips
@@ -276,8 +290,8 @@ class ShellState:
         self.energy += delta
         s = self.spins[i]
         self.spins[i] = -s
-        # an agreeing bit (its bit equals the reference's) starts to disagree
-        self.distance += 1 if (s > 0.0) == self.reference[i] else -1
+        # an agreeing bit starts to disagree
+        self.distance += 1 if s != self.disagree_spin[i] else -1
         self._flips += 1
         if self._flips % ENERGY_REFRESH_INTERVAL == 0:
             self._refresh_energy()
@@ -287,8 +301,9 @@ class ShellState:
         return list(self.spins), self.distance, self.energy
 
     def restore(self, saved):
-        """Return in place to a ``checkpoint``; ``spins`` stays the same list."""
-        self.spins[:], self.distance, self.energy = saved
+        """Return to a ``checkpoint`` by taking its spin list as this state's
+        own instead of copying it back; each checkpoint restores once."""
+        self.spins, self.distance, self.energy = saved
 
     def _refresh_energy(self):
         scratch = self.model.energy(self.bits)
@@ -302,16 +317,12 @@ class ShellState:
         self.energy = scratch
 
     def in_disagree(self, i):
-        return (self.spins[i] > 0.0) != self.reference[i]
+        return self.spins[i] == self.disagree_spin[i]
 
     def disagree_indices(self):
         """Ascending indices where the state differs from the reference."""
-        ref = self.reference
-        return [i for i, s in enumerate(self.spins)
-                if (1 if s > 0.0 else 0) != ref[i]]
+        return [i for i, s in enumerate(self.spins) if s == self.disagree_spin[i]]
 
     def agree_indices(self):
         """Ascending indices where the state equals the reference."""
-        ref = self.reference
-        return [i for i, s in enumerate(self.spins)
-                if (1 if s > 0.0 else 0) == ref[i]]
+        return [i for i, s in enumerate(self.spins) if s != self.disagree_spin[i]]

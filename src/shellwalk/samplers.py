@@ -11,7 +11,7 @@ import numpy as np
 
 from .analysis import write_trace_csv
 from .errors import CoherenceError, ConfigurationError
-from .model import IsingModel, ShellConstraint, ShellState
+from .model import IsingModel, ShellConstraint, ShellState, integral
 from .saw_proposal import (
     BitDraws,
     SawParams,
@@ -28,7 +28,8 @@ def chain_rng(master_seed, chain_index=0):
     The split uses numpy's SeedSequence with the chain index as spawn key, so
     distinct chains get independent streams and reruns are reproducible.
     """
-    seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(chain_index),))
+    seq = np.random.SeedSequence(entropy=integral(master_seed, "seed"),
+                                 spawn_key=(integral(chain_index, "chain_index"),))
     return np.random.default_rng(seq)
 
 

@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 from .errors import CoherenceError, ConfigurationError
-from .model import COHERENCE_RTOL, IsingModel, ShellState
+from .model import COHERENCE_RTOL, IsingModel, ShellState, integral
 from .weighted_index import WeightedIndexTree
 
 ORDER_UP_DOWN = "up_down"  # toward the reference first, then away
@@ -109,6 +108,8 @@ class SawParams:
     def __post_init__(self):
         if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
             raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
+        for name in ("k_min", "k_max"):
+            object.__setattr__(self, name, integral(getattr(self, name), name))
         if not 0 <= self.k_min <= self.k_max:
             raise ValueError(
                 f"need 0 <= k_min <= k_max, got [{self.k_min}, {self.k_max}]"
@@ -237,8 +238,6 @@ class TreeWalkEngine:
         self.state = state
         self.gamma = gamma
         self.evals = 0
-        # a disagreeing bit's spin: -1.0 where the reference bit is 1
-        self._disagree_spin = [1.0 - 2.0 * r for r in state.reference]
         # each bit's junction row, built by its first flip (see ``_steps``)
         self._rows = [None] * model.num_vars
         self._local = None
@@ -250,7 +249,7 @@ class TreeWalkEngine:
         model = self.model
         state = self.state
         spins = state.spins
-        disagree_spin = self._disagree_spin
+        disagree_spin = state.disagree_spin
         gamma = self.gamma
         fields = model.fields
         num = model.num_vars
@@ -277,17 +276,17 @@ class TreeWalkEngine:
 
     def flip(self, i):
         """Flip bit ``i`` of the bound state: one step of ``walk`` on bit ``i``."""
-        self._steps(self.state.spins[i] == self._disagree_spin[i], (i,), False,
-                    [], 0.0, 0.0)
+        self._steps(self.state.in_disagree(i), (i,), False, 0.0, 0.0)
 
-    def walk(self, toward, uniforms, k, picks, log_fwd, log_rev):
-        """Walk ``k`` steps, appending the picked bits to ``picks``; returns
-        ``log_fwd`` and ``log_rev`` with each step's log probabilities added."""
-        return self._steps(toward, islice(uniforms, k), True, picks, log_fwd, log_rev)
+    def walk(self, toward, uniforms, log_fwd, log_rev):
+        """Walk one step per uniform; returns the picked bits, and ``log_fwd``
+        and ``log_rev`` with each step's log probabilities added."""
+        return self._steps(toward, uniforms, True, log_fwd, log_rev)
 
-    def _steps(self, toward, sources, drawn, picks, log_fwd, log_rev):
-        """The step loop of ``walk`` and ``flip``: each source is a uniform
-        for the source tree's draw when ``drawn``, else the bit to flip.
+    def _steps(self, toward, sources, drawn, log_fwd, log_rev):
+        """The step loop of ``walk`` and ``flip``, returning ``walk``'s
+        values: each source is a uniform for the source tree's draw when
+        ``drawn``, else the bit to flip.
 
         Fields and trees are bound once and again after a ``sync``, which
         replaces them. A neighbour j's climb stops below its junction, the
@@ -311,12 +310,13 @@ class TreeWalkEngine:
         fields = self.model.fields
         adjacency = self.model.adjacency
         rows = self._rows
-        disagree_spin = self._disagree_spin
+        disagree_spin = state.disagree_spin
         neg_gamma = -self.gamma
         base = self._base
         exp = math.exp
         log = math.log
         evals = 0
+        picks = []
         local, toward_nodes, away_nodes, sample, old, new = self._walk_frame(toward)
         for u in sources:
             i = sample(u) if drawn else u
@@ -365,7 +365,7 @@ class TreeWalkEngine:
             log_rev += log(w) - log(total)
             picks.append(i)
         self.evals += evals
-        return log_fwd, log_rev
+        return picks, log_fwd, log_rev
 
     def _walk_frame(self, toward):
         """What the step loop binds: the local fields, both trees' nodes, the
@@ -375,18 +375,15 @@ class TreeWalkEngine:
                 src.sample, src._nodes, dst._nodes)
 
     def checkpoint(self):
-        """Copies of the bound state, the local fields and both trees."""
+        """Copies of the bound state, the local fields and both trees' nodes."""
         return (self.state.checkpoint(), list(self._local),
-                self._toward.checkpoint(), self._away.checkpoint())
+                list(self._toward._nodes), list(self._away._nodes))
 
     def restore(self, saved):
-        """Return to a ``checkpoint``: the bound state in place, while the
-        engine takes the checkpoint's local-field and node lists as its own
-        instead of copying them back, so each checkpoint restores once."""
-        state, self._local, toward, away = saved
+        """Return to a ``checkpoint`` by taking its lists as the bound state's
+        and the engine's own, not copying them; each checkpoint restores once."""
+        state, self._local, self._toward._nodes, self._away._nodes = saved
         self.state.restore(state)
-        self._toward.restore(toward)
-        self._away.restore(away)
 
     def sample(self, toward, u):
         tree = self._toward if toward else self._away
@@ -394,7 +391,7 @@ class TreeWalkEngine:
         return i, tree.log_weight_fraction(i)
 
     def log_prob(self, toward, i):
-        if (self.state.spins[i] == self._disagree_spin[i]) != toward:
+        if self.state.in_disagree(i) != toward:
             return NEG_INF
         tree = self._toward if toward else self._away
         return tree.log_weight_fraction(i)
@@ -409,11 +406,12 @@ class ScanWalkEngine:
     also flips it. ``walk`` loops over these single steps. Per state, the
     first ``sample`` or ``log_prob`` computes every bit's logit as a
     candidate of its own side,
-    ``z = side * (gamma * rho * (local + fields))``, in O(M), and when no
-    flip can push exp() near overflow, its weights ``w = exp(z)`` in the
-    same pass: one exp per state, shared by the next step's draw and the
-    reverse-factor lookup just before it. Both are cached until the next
-    flip, restore or resync.
+    ``z = side * (gamma * rho * (local + fields))`` with the reference's
+    spin ``rho = -state.disagree_spin``, in O(M), and when no flip can push
+    exp() near overflow, its weights ``w = exp(z)`` in the same pass: one
+    exp per state, shared by the next step's draw and the reverse-factor
+    lookup just before it. Both are cached until the next flip, restore or
+    resync.
     """
 
     kind = "scan"
@@ -428,8 +426,8 @@ class ScanWalkEngine:
         self._nbr_coup = [np.array([c for _, c in row], dtype=np.float64)
                           for row in model.adjacency]
         self._fields = np.array(model.fields, dtype=np.float64)
-        # gamma * rho, rho = 2 * reference - 1: a disagreeing bit's spin is -rho
-        self._gamma_rho = gamma * (2.0 * np.array(state.reference, dtype=np.float64) - 1.0)
+        # gamma * rho; every factor is +/-gamma exactly
+        self._gamma_rho = -gamma * np.array(state.disagree_spin)
         # skip the per-step shift when no flip can push exp() near overflow
         self._may_overflow = may_overflow(model, gamma)
         self._local = None
@@ -443,13 +441,10 @@ class ScanWalkEngine:
         num = self.model.num_vars
         local = np.zeros(num, dtype=np.float64)
         for i in range(num):
-            idx = self._nbr_idx[i]
-            if idx.size:
-                local[i] = float(self._nbr_coup[i] @ spins[idx])
+            local[i] = float(self._nbr_coup[i] @ spins[self._nbr_idx[i]])
         check_local_fields(state, self._local, local)
         self._local = local
-        self._side = np.full(num, -1.0)
-        self._side[state.disagree_indices()] = 1.0
+        self._side = spins * state.disagree_spin
         self._z = None
 
     def flip(self, i):
@@ -457,9 +452,7 @@ class ScanWalkEngine:
         state = self.state
         s = state.spins[i]
         state.flip(i, 2.0 * s * (self._local.item(i) + self._fields.item(i)))
-        idx = self._nbr_idx[i]
-        if idx.size:
-            self._local[idx] += -2.0 * s * self._nbr_coup[i]
+        self._local[self._nbr_idx[i]] += -2.0 * s * self._nbr_coup[i]
         self._side[i] = -self._side.item(i)
         self._z = None
         if state._flips % RESYNC_INTERVAL == 0:
@@ -470,21 +463,22 @@ class ScanWalkEngine:
         return (self.state.checkpoint(), self._local.copy(), self._side.copy())
 
     def restore(self, saved):
-        """Return the bound state and the engine in place to a ``checkpoint``."""
-        state, self._local[:], self._side[:] = saved
+        """Return to a ``checkpoint`` as ``TreeWalkEngine.restore`` does."""
+        state, self._local, self._side = saved
         self.state.restore(state)
         self._z = None
 
-    def walk(self, toward, uniforms, k, picks, log_fwd, log_rev):
-        """One walk of ``k`` steps through ``sample``, ``flip`` and
-        ``log_prob``; returns the running logs."""
-        for _ in range(k):
-            i, log_p = self.sample(toward, next(uniforms))
+    def walk(self, toward, uniforms, log_fwd, log_rev):
+        """One walk, a step per uniform, through ``sample``, ``flip`` and
+        ``log_prob``; returns the picked bits and the running logs."""
+        picks = []
+        for u in uniforms:
+            i, log_p = self.sample(toward, u)
             log_fwd += log_p
             self.flip(i)
             log_rev += self.log_prob(not toward, i)
             picks.append(i)
-        return log_fwd, log_rev
+        return picks, log_fwd, log_rev
 
     def _weights(self, toward):
         """One side's candidates, ascending, every bit's logit, and the
@@ -551,20 +545,20 @@ def run_walks(engine, rng, k, order):
 
     Flips the engine and its bound state to the proposed configuration and
     returns (first walk, second walk, log_fwd, log_rev). Each walk is one
-    ``engine.walk`` call; the second carries on the first's running sums, so
-    the logs are added step by step in walk order. The reverse log
+    ``engine.walk`` call on its own k of the move's 2k uniforms; the second
+    carries on the first's running sums, so the logs are added step by step
+    in walk order. The reverse log
     probability is accumulated in the same sweep: immediately after each
     flip the walked bit sits in the opposite candidate set, and the current
     state is exactly the intermediate state the reversed move would pass
     through, so its selection probability can be read off directly.
     """
     first_toward = order == ORDER_UP_DOWN
-    first, second = [], []
     # the same doubles as 2k scalar draws; nothing else draws in between
-    uniforms = iter(rng.random(2 * k).tolist())
-    log_fwd, log_rev = engine.walk(first_toward, uniforms, k, first, 0.0, 0.0)
-    log_fwd, log_rev = engine.walk(not first_toward, uniforms, k, second,
-                                   log_fwd, log_rev)
+    uniforms = rng.random(2 * k).tolist()
+    first, log_fwd, log_rev = engine.walk(first_toward, uniforms[:k], 0.0, 0.0)
+    second, log_fwd, log_rev = engine.walk(not first_toward, uniforms[k:],
+                                           log_fwd, log_rev)
     return first, second, log_fwd, log_rev
 
 

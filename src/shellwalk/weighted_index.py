@@ -90,13 +90,3 @@ class WeightedIndexTree:
                 f"log weight fraction undefined for weight {w} of total {total}"
             )
         return math.log(w) - math.log(total)
-
-    def checkpoint(self):
-        """A copy of every node, for ``restore``."""
-        return list(self._nodes)
-
-    def restore(self, nodes):
-        """Return to ``nodes``, a ``checkpoint`` of a tree of this size, by
-        taking the list as this tree's own instead of copying it back; each
-        checkpoint restores once."""
-        self._nodes = nodes

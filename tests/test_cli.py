@@ -339,8 +339,9 @@ class TestAnalyze:
         ("0,1.0,1,0\n1\n", "bad.csv:4"),
         ("0,1.0,1,0\n1,nan,1,0\n", "bad.csv:4"),
         ("0,1.0,1,0\n1,high,1,0\n", "bad.csv:4"),
+        ("0,1.0,1,0\nx,1.0,y,z\n", "bad.csv:4"),
         ("", "bad.csv: no data rows"),
-    ], ids=["one-field", "nan", "not-a-number", "no-rows"])
+    ], ids=["one-field", "nan", "not-a-number", "not-integers", "no-rows"])
     def test_malformed_trace_is_a_file_error(self, tmp_path, capsys, rows, where):
         path = tmp_path / "bad.csv"
         path.write_text("# sampler=im\nstep,energy,accepted,k\n" + rows,

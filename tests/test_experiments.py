@@ -62,6 +62,13 @@ class TestPresetConfig:
         with pytest.raises(ConfigurationError):
             preset_config("ferro2d", "galactic")
 
+    def test_fractional_seed_is_refused_not_truncated(self):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            preset_config("glass3d", "desk", seed=1.5)
+        config = preset_config("glass3d", "desk", seed=2.0)
+        assert config == preset_config("glass3d", "desk", seed=2)
+        assert type(config.generator_args["seed"]) is int
+
     @pytest.mark.parametrize("fraction",
                              [-2, -0.5, float("inf"), float("nan"), 1e308])
     def test_bad_burn_in_fraction(self, tmp_path, fraction):

@@ -187,6 +187,13 @@ class TestSideIndices:
         assert sorted(agree + disagree) == list(range(size))
         assert all(bits[i] != reference[i] for i in disagree)
 
+    def test_disagree_spin_is_built_once_and_shared(self):
+        rng = np.random.default_rng(11)
+        reference = rng.integers(0, 2, 40).tolist()
+        state = ShellState(free_model(40), rng.integers(0, 2, 40).tolist(), reference)
+        assert state.disagree_spin == tuple(1 - 2 * r for r in reference)
+        assert state.copy().disagree_spin is state.disagree_spin
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             ShellState(free_model(2), [1, 0], [1, 0, 1])
@@ -253,3 +260,8 @@ class TestShellConstraint:
         with pytest.raises(ValueError, match=r"reference must be a \{0,1\} vector"):
             ShellConstraint((0.7, 0, 0, 0), 1)
         assert ShellConstraint((1.0, 0, np.int64(1), False), 1).reference == (1, 0, 1, 0)
+
+    def test_fractional_distance_is_refused_not_truncated(self):
+        with pytest.raises(ValueError, match="distance must be an integer"):
+            ShellConstraint((0,) * 9, 2.5)
+        assert type(ShellConstraint((0,) * 9, 2.0).distance) is int

@@ -125,8 +125,8 @@ def engine_snapshot(engine):
     parts = [list(state.bits), list(state.spins), state.energy, state.distance,
              state.disagree_indices(), state.agree_indices()]
     if engine.kind == "tree":
-        return parts + [list(engine._local), engine._toward.checkpoint(),
-                        engine._away.checkpoint()]
+        return parts + [list(engine._local), list(engine._toward._nodes),
+                        list(engine._away._nodes)]
     return parts + [engine._local.tolist(), engine._side.tolist()]
 
 
@@ -142,12 +142,13 @@ def rejecting_chain(engine, seed):
 
 
 class TestRollback:
-    # at interval 7 most rejected tree walks rebuild the trees mid-walk, so
-    # restore hands the pre-walk lists to the rebuilt tree objects
+    # at interval 7 most rejected walks resync mid-walk, so restore hands
+    # the pre-walk containers to the rebuilt trees or the scan engine
     @pytest.mark.parametrize("engine, resync", [
         pytest.param("tree", None, id="tree"),
         pytest.param("scan", None, id="scan"),
         pytest.param("tree", 7, id="tree-resync-7"),
+        pytest.param("scan", 7, id="scan-resync-7"),
     ])
     def test_rejected_step_restores_everything(self, engine, resync, monkeypatch):
         if resync is not None:
@@ -369,6 +370,18 @@ class TestMoveShapeDraws:
         assert {order for _, order in shapes} == orders
         assert len(shapes) > 1 or k_min == k_max
 
+    def test_int64_bounds_draw_numpys_values(self):
+        # kept as numpy int64, these bounds would overflow below()'s product
+        params = SawParams(gamma=0.5, k_min=np.int64(0), k_max=np.int64(2**32 - 1))
+        assert (type(params.k_min), type(params.k_max)) == (int, int)
+        rng, twin = twin_generators(np.random.PCG64, 23)
+        draws = BitDraws(twin)
+        # a shell far wider than the span, so no length is clamped
+        for _ in range(200):
+            assert draw_move_shape(params, draws, 2**40, 2**41) == \
+                parent_move_shape(params, rng, 2**40, 2**41)
+        assert_same_stream(rng, twin)
+
 
 class ParentMetropolis:
     """The pair swap as written with numpy's draws, kept as the reference
@@ -569,6 +582,24 @@ class TestRunChain:
         assert state._flips > (1 << 14)
         assert state.energy == pytest.approx(model.energy(state.bits), abs=1e-9)
         assert len(record) == 400
+
+    def test_integral_walk_bounds_of_any_type_run_the_int_chain(self):
+        records = []
+        for k_max in (2, 2.0):
+            model, state, config, rng = rejecting_chain("tree", 3)
+            config = ImConfig(beta=config.beta, saw=SawParams(
+                gamma=config.saw.gamma, k_min=1, k_max=k_max))
+            records.append(run_chain(model, state, "im", 200, config=config, rng=rng))
+        assert type(config.saw.k_max) is int
+        assert records[0].energies.tolist() == records[1].energies.tolist()
+        assert records[0].ks.tolist() == records[1].ks.tolist()
+
+    def test_fractional_seed_or_chain_index_is_refused_not_truncated(self):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            chain_rng(1.5)
+        with pytest.raises(ValueError, match="chain_index must be an integer"):
+            chain_rng(1, 0.5)
+        assert chain_rng(np.int64(3), 2.0).random() == chain_rng(3, 2).random()
 
     def test_argument_validation(self):
         model = free_model(4)

@@ -89,6 +89,8 @@ class TestSawParams:
         SawParams(gamma=1.0, k_min=1, k_max=2**32)
         with pytest.raises(ValueError, match=r"2\*\*32"):
             SawParams(gamma=1.0, k_min=0, k_max=2**32)
+        with pytest.raises(ValueError, match="k_max must be an integer"):
+            SawParams(gamma=1.0, k_min=1, k_max=1.5)
 
 
 class TestReverseSequences:
@@ -543,7 +545,7 @@ def assert_trees_are_exact(engine):
     and each leaf is its bit's weight in its own set's tree, 0.0 in the other."""
     model, state = engine.model, engine.state
     for tree in (engine._toward, engine._away):
-        assert tree.checkpoint() == WeightedIndexTree(tree.weights()).checkpoint()
+        assert tree._nodes == WeightedIndexTree(tree.weights())._nodes
     toward, away = engine._toward.weights(), engine._away.weights()
     for j in range(model.num_vars):
         assert engine._local[j] == pytest.approx(
