@@ -39,7 +39,6 @@ from .model import IsingModel, ShellConstraint, ShellState
 from .oracle import (
     ExactImKernel,
     ExactShell,
-    bits_key,
     check_pathwise_db,
     detailed_balance_gap,
     enumerate_shell,

@@ -20,8 +20,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import analysis, experiments
 from .errors import (
     ConfigurationError,
@@ -131,7 +129,9 @@ def cmd_sample(args):
     model = load_model(args.model)
     n = _resolve_shell_distance(args, model.num_vars)
     gamma = args.gamma if args.gamma is not None else args.beta
-    k_min, k_max = (args.k, args.k) if args.k is not None else (args.k_min, args.k_max)
+    if args.k is not None and (args.k_min, args.k_max) != (None, None):
+        raise ConfigurationError("--k fixes the walk length; drop --k-min and --k-max")
+    k_min, k_max = args.k or args.k_min or 1, args.k or args.k_max or 1
     # every trace header records these, so both samplers refuse bad ones
     walk = ImConfig(beta=args.beta, seed=args.seed, saw=SawParams(
         gamma=gamma, k_min=k_min, k_max=k_max, order_policy=args.order))
@@ -257,8 +257,7 @@ def _verify_kernel(report):
 
 
 def _verify_pathwise(report, moves, seed, inject):
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                       spawn_key=(1,)))
+    rng = chain_rng(seed, 1)
     worst = 0.0
     done = 0
     while done < moves:
@@ -404,8 +403,10 @@ def build_parser():
                    help="walk bias (default: beta)")
     s.add_argument("--k", type=_positive_int, default=None,
                    help="fixed walk length")
-    s.add_argument("--k-min", type=_positive_int, default=1)
-    s.add_argument("--k-max", type=_positive_int, default=1)
+    s.add_argument("--k-min", type=_positive_int, default=None,
+                   help="shortest walk (default: 1)")
+    s.add_argument("--k-max", type=_positive_int, default=None,
+                   help="longest walk (default: 1)")
     s.add_argument("--order", choices=ORDER_POLICIES, default="up_down")
     group = s.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=int, default=None,

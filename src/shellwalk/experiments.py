@@ -12,7 +12,6 @@ either sampler stands for the same amount of compute.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
@@ -74,13 +73,10 @@ def preset_config(preset, scale, seed=0, trials=10, im_moves=None,
         )
     if scale not in SCALES:
         raise ConfigurationError(f"unknown scale {scale!r}; choose from {SCALES}")
+    trials = integral(trials, "trials")
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
     seed = integral(seed, "seed")
-    if not (math.isfinite(burn_in_fraction) and burn_in_fraction >= 0.0):
-        raise ConfigurationError(
-            f"burn_in_fraction must be finite and >= 0, got {burn_in_fraction}"
-        )
     paper = scale == "paper"
     if preset == "ferro2d":
         side = 60 if paper else 16
@@ -133,13 +129,14 @@ def preset_config(preset, scale, seed=0, trials=10, im_moves=None,
             fair_ratio=10,
         )
     if im_moves is not None:
-        spec["im_moves"] = int(im_moves)
+        spec["im_moves"] = integral(im_moves, "im_moves")
     if fair_ratio is not None:
-        spec["fair_ratio"] = int(fair_ratio)
+        spec["fair_ratio"] = integral(fair_ratio, "fair_ratio")
     # each chain records im_moves rows, and an ACF needs 2 rows past its lag
     recorded = spec["im_moves"]
     if max_lag is None:
         max_lag = min(max(10, recorded // 5), 2000, recorded - 2)
+    max_lag = integral(max_lag, "max_lag")
     for name, value, least in (("im_moves", recorded, 3),
                                ("fair_ratio", spec["fair_ratio"], 1),
                                ("max_lag", max_lag, 1)):
@@ -157,7 +154,7 @@ def preset_config(preset, scale, seed=0, trials=10, im_moves=None,
         trials=trials,
         seed=seed,
         burn_in_fraction=float(burn_in_fraction),
-        max_lag=int(max_lag),
+        max_lag=max_lag,
         **spec,
     )
 

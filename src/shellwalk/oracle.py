@@ -22,22 +22,13 @@ from .saw_proposal import (
     ORDER_UP_DOWN,
     SawMove,
     SawParams,
-    feasible_k_max,
+    check_walk_lengths,
     path_log_prob,
     reverse_sequences,
 )
 
 ENUMERATION_CAP = 1_000_000
 PATH_BUDGET = 5_000_000
-
-
-def bits_key(bits):
-    """Pack a {0,1} vector into an integer key (bit i at position i)."""
-    key = 0
-    for i, b in enumerate(bits):
-        if b:
-            key |= 1 << i
-    return key
 
 
 def enumerate_shell(constraint: ShellConstraint, cap=ENUMERATION_CAP):
@@ -73,7 +64,7 @@ def exact_distribution(model: IsingModel, beta, states):
     energies = np.array([model.energy(list(s)) for s in states], dtype=np.float64)
     logits = -beta * energies
     weights = np.exp(logits - logits.max())
-    index = {bits_key(s): row for row, s in enumerate(states)}
+    index = {tuple(s): row for row, s in enumerate(states)}
     return ExactShell(
         states=tuple(states),
         probabilities=weights / weights.sum(),
@@ -142,11 +133,7 @@ def exact_im_kernel(model: IsingModel, beta, params: SawParams, constraint,
         if params.order_policy == "random"
         else (params.order_policy,)
     )
-    for order in orders:
-        if k > feasible_k_max(n, num, order):
-            raise ValueError(
-                f"walk length {k} infeasible for order {order!r} on this shell"
-            )
+    check_walk_lengths(params, n, num)
     total_paths = _kernel_paths(num_states, num, n, k, orders)
     if total_paths > budget:
         raise EnumerationBudgetError(
@@ -181,7 +168,7 @@ def exact_im_kernel(model: IsingModel, beta, params: SawParams, constraint,
                     end = mid.copy()
                     for i in second_seq:
                         end.flip(i)
-                    col = shell.index[bits_key(end.bits)]
+                    col = shell.index[tuple(end.bits)]
                     rev_first, rev_second = reverse_sequences(first_seq, second_seq)
                     log_rev = path_log_prob(
                         model, end, rev_first, rev_second, gamma, order
@@ -238,7 +225,7 @@ def empirical_distribution(model, init, sampler, config, rng, shell: ExactShell,
     for _ in range(samples):
         for _ in range(stride):
             driver.step()
-        counts[shell.index[bits_key(init.bits)]] += 1
+        counts[shell.index[tuple(init.bits)]] += 1
     return counts / float(samples)
 
 

@@ -265,10 +265,15 @@ def run_chain(model, init: ShellState, sampler: str, num_moves, record_stride=1,
     recorded arrays are deterministic given the seed; only the wall-clock
     estimate varies between reruns.
     """
+    num_moves = integral(num_moves, "num_moves")
+    record_stride = integral(record_stride, "record_stride")
+    burn_in = integral(burn_in, "burn_in")
     if num_moves < 1:
         raise ValueError(f"num_moves must be >= 1, got {num_moves}")
     if record_stride < 1:
         raise ValueError(f"record_stride must be >= 1, got {record_stride}")
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     driver = make_sampler(model, init, sampler, config, rng=rng)
     for _ in range(burn_in):
         driver.step()
@@ -298,12 +303,12 @@ def run_chain(model, init: ShellState, sampler: str, num_moves, record_stride=1,
 
 def burn_in_moves(fraction, moves, name="burn_in_fraction"):
     """The unrecorded moves before a chain of ``moves`` recorded ones;
-    ``ConfigurationError`` names ``name`` when ``fraction * moves`` is not
-    finite."""
+    ``ConfigurationError`` names ``name`` when ``fraction`` is negative or
+    ``fraction * moves`` is not finite."""
     burn_in = fraction * moves
-    if not math.isfinite(burn_in):
-        raise ConfigurationError(
-            f"{name} {fraction} times {moves} moves is not finite")
+    if not (fraction >= 0.0 and math.isfinite(burn_in)):
+        raise ConfigurationError(f"{name} must be >= 0 with a finite product, "
+                                 f"got {fraction} times {moves} moves")
     return int(round(burn_in))
 
 

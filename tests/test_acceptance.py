@@ -29,7 +29,6 @@ from shellwalk.analysis import bootstrap_ratio_ci95
 from shellwalk.experiments import preset_config, run_config, run_experiment
 from shellwalk.generators import cube3d_pm_j, grid2d, rbm_gabor
 from shellwalk.oracle import (
-    bits_key,
     check_pathwise_db,
     detailed_balance_gap,
     empirical_distribution,
@@ -128,16 +127,16 @@ def test_empirical_kernel_match():
     constraint = ShellConstraint((0,) * 6, 3)
     params = SawParams(gamma=0.7, k_min=2, k_max=2)
     kernel = exact_im_kernel(model, 0.7, params, constraint)
-    index = {bits_key(s): row for row, s in enumerate(kernel.states)}
+    index = {s: row for row, s in enumerate(kernel.states)}
     rng = chain_rng(2024, 0)
     state = random_shell_state(model, constraint, rng)
     sampler = ImSampler(model, state, ImConfig(beta=0.7, saw=params), rng=rng)
     size = len(kernel.states)
     counts = np.zeros((size, size), dtype=np.int64)
-    row = index[bits_key(state.bits)]
+    row = index[tuple(state.bits)]
     for _ in range(1_000_000):
         sampler.step()
-        new_row = index[bits_key(state.bits)]
+        new_row = index[tuple(state.bits)]
         counts[row, new_row] += 1
         row = new_row
     worst_p = 1.0

@@ -195,6 +195,9 @@ class TestSample:
         ("--sampler", "im", "--n", 4, "--k-min", 3, "--k-max", 2),
         ("--sampler", "metropolis", "--n", 4, "--gamma", -1),
         ("--sampler", "metropolis", "--n", 4, "--k-min", 3, "--k-max", 2),
+        # --k fixes both walk bounds, so it cannot go with either of them
+        ("--sampler", "im", "--n", 4, "--k", 2, "--k-min", 1, "--k-max", 3),
+        ("--sampler", "im", "--n", 4, "--k", 2, "--k-max", 2),
     ])
     def test_refused_configuration_writes_nothing(self, small_model, tmp_path,
                                                   args):

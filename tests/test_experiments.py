@@ -2,6 +2,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from shellwalk import experiments
@@ -69,6 +70,18 @@ class TestPresetConfig:
         assert config == preset_config("glass3d", "desk", seed=2)
         assert type(config.generator_args["seed"]) is int
 
+    @pytest.mark.parametrize("name, value", [
+        ("trials", 2.0), ("trials", np.int64(2)), ("im_moves", 40.0),
+        ("im_moves", np.int64(40)), ("fair_ratio", 2.0),
+        ("fair_ratio", np.int64(2)), ("max_lag", 5.0), ("max_lag", np.int64(5)),
+    ])
+    def test_whole_number_settings_are_stored_as_int(self, name, value):
+        kwargs = dict(im_moves=40)
+        kwargs[name] = value
+        config = preset_config("glass3d", "desk", **kwargs)
+        assert getattr(config, name) == value
+        assert type(getattr(config, name)) is int
+
     @pytest.mark.parametrize("fraction",
                              [-2, -0.5, float("inf"), float("nan"), 1e308])
     def test_bad_burn_in_fraction(self, tmp_path, fraction):
@@ -79,15 +92,20 @@ class TestPresetConfig:
                            burn_in_fraction=fraction)
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("name, value", [
-        ("im_moves", 0), ("fair_ratio", 0), ("max_lag", 0), ("max_lag", -1),
+    @pytest.mark.parametrize("name, value, error", [
+        ("im_moves", 0, ConfigurationError), ("fair_ratio", 0, ConfigurationError),
+        ("max_lag", 0, ConfigurationError), ("max_lag", -1, ConfigurationError),
+        ("trials", 0, ConfigurationError),
+        # refused, not truncated to 1, 40, 2 and 5
+        ("trials", 1.5, ValueError), ("im_moves", 40.7, ValueError),
+        ("fair_ratio", 2.9, ValueError), ("max_lag", 5.5, ValueError),
     ])
-    def test_bad_counts_write_nothing(self, tmp_path, name, value):
+    def test_bad_counts_write_nothing(self, tmp_path, name, value, error):
         out = tmp_path / "out"
         out.mkdir()
         kwargs = dict(trials=1, seed=1, im_moves=40)
         kwargs[name] = value
-        with pytest.raises(ConfigurationError, match=name):
+        with pytest.raises(error, match=name):
             run_experiment("glass3d", out_dir=out, **kwargs)
         assert list(out.iterdir()) == []
 

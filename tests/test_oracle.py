@@ -12,10 +12,9 @@ from shellwalk import (
     chain_rng,
     random_shell_state,
 )
-from shellwalk.errors import EnumerationBudgetError
+from shellwalk.errors import ConfigurationError, EnumerationBudgetError
 from shellwalk.generators import grid2d
 from shellwalk.oracle import (
-    bits_key,
     check_pathwise_db,
     detailed_balance_gap,
     empirical_distribution,
@@ -174,7 +173,8 @@ class TestExactImKernel:
 
     def test_infeasible_walk_length(self):
         # up_down walks at most n = 3 bits toward the reference
-        with pytest.raises(ValueError, match="walk length 4 infeasible"):
+        with pytest.raises(ConfigurationError,
+                           match="k_min=4 exceeds the feasible walk length"):
             exact_im_kernel(self.model, 0.7,
                             SawParams(gamma=0.7, k_min=4, k_max=4),
                             self.constraint)
@@ -247,7 +247,9 @@ class TestEmpiricalDistribution:
                                            samples=20_000, burn_in=1000)
         assert tv_distance(empirical, shell.probabilities) < 0.03
 
-    def test_bits_key_round_trip(self):
+    def test_index_maps_each_state_to_its_row(self):
         states = enumerate_shell(ShellConstraint((0,) * 5, 2))
-        keys = [bits_key(s) for s in states]
-        assert len(set(keys)) == len(states)
+        shell = exact_distribution(chain_model(5), 1.0, states)
+        for row, state in enumerate(states):
+            assert shell.index[state] == row
+        assert len(shell.index) == len(states)

@@ -601,16 +601,20 @@ class TestRunChain:
             chain_rng(1, 0.5)
         assert chain_rng(np.int64(3), 2.0).random() == chain_rng(3, 2).random()
 
-    def test_argument_validation(self):
+    @pytest.mark.parametrize("moves, name, kwargs", [
+        (0, "num_moves", {}), (5, "record_stride", {"record_stride": 0}),
+        # refused, not truncated or run as no burn-in
+        (2.5, "num_moves", {}), (5, "record_stride", {"record_stride": 1.5}),
+        (5, "burn_in", {"burn_in": 2.5}), (5, "burn_in", {"burn_in": -1}),
+    ])
+    def test_argument_validation(self, moves, name, kwargs):
         model = free_model(4)
         constraint = ShellConstraint((0,) * 4, 2)
         rng = chain_rng(0)
         state = random_shell_state(model, constraint, rng)
-        with pytest.raises(ValueError):
-            run_chain(model, state, "metropolis", 0, config=MetropolisConfig(beta=1.0))
-        with pytest.raises(ValueError):
-            run_chain(model, state, "metropolis", 5, record_stride=0,
-                      config=MetropolisConfig(beta=1.0))
+        with pytest.raises(ValueError, match=name):
+            run_chain(model, state, "metropolis", moves,
+                      config=MetropolisConfig(beta=1.0), **kwargs)
         with pytest.raises(ConfigurationError):
             run_chain(model, state, "unknown", 5, config=MetropolisConfig(beta=1.0))
         with pytest.raises(ConfigurationError):
