@@ -44,6 +44,7 @@ from .oracle import (
     enumerate_shell,
     exact_distribution,
     exact_im_kernel,
+    exact_metropolis_kernel,
     stationarity_gap,
     tv_distance,
 )

@@ -24,14 +24,19 @@ def bit_tuple(values, name):
     return tuple(int(v) for v in values)
 
 
-def integral(value, name):
-    """``value`` as an int; refuses a fractional value such as 1.5."""
+def integral(value, name, least=None):
+    """``value`` as an int; refuses a fractional value such as 1.5, and one
+    below ``least`` when given."""
     try:
-        if int(value) == value:
-            return int(value)
+        whole = int(value) == value
     except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+        whole = False
+    if not whole:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 class IsingModel:

@@ -1,10 +1,11 @@
 """Exhaustive small-instance ground truth for the shell samplers.
 
 Everything here is brute force on purpose: exact shell enumeration, the exact
-restricted distribution, and the exact marginal transition kernel of the walk
+restricted distribution, the exact marginal transition kernel of the walk
 sampler obtained by enumerating every allowable walk pair between every pair
-of shell states. These are the independent oracles the statistical tests and
-the ``verify`` command check the samplers against.
+of shell states, and the exact kernel of the Metropolis pair swap. These are
+the independent oracles the statistical tests and the ``verify`` command
+check the samplers against.
 """
 
 from __future__ import annotations
@@ -15,15 +16,15 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .errors import EnumerationBudgetError
-from .model import IsingModel, ShellConstraint, ShellState
+from .errors import ConfigurationError, EnumerationBudgetError
+from .model import IsingModel, ShellConstraint, ShellState, integral
 from .saw_proposal import (
-    ORDER_DOWN_UP,
     ORDER_UP_DOWN,
     SawMove,
     SawParams,
     check_walk_lengths,
     path_log_prob,
+    policy_orders,
     reverse_sequences,
 )
 
@@ -82,20 +83,27 @@ def tv_distance(p, q):
 
 
 @dataclass
-class ExactImKernel:
+class ExactKernel:
+    """A fully enumerated transition kernel over a shell's ``states``, with
+    their exact ``probabilities``; ``matrix`` is row-stochastic, rejected
+    mass on the diagonal."""
+
+    states: tuple
+    probabilities: np.ndarray
+    matrix: np.ndarray
+
+
+@dataclass
+class ExactImKernel(ExactKernel):
     """Fully enumerated transition kernel of the walk sampler.
 
-    ``matrix`` is the row-stochastic kernel with rejected mass on the
-    diagonal. ``proposal`` is the marginal proposal probability f(x1 | x0)
+    ``proposal`` is the marginal proposal probability f(x1 | x0)
     summed over all allowable walk pairs; ``alpha_effective`` the
     path-averaged acceptance between two states, and ``alpha_marginal`` the
     accept ratio the intractable marginalized proposal would have used. The
     last two generally differ, which is why the sampler accepts pathwise.
     """
 
-    states: tuple
-    probabilities: np.ndarray
-    matrix: np.ndarray
     proposal: np.ndarray
     alpha_effective: np.ndarray
     alpha_marginal: np.ndarray
@@ -128,11 +136,7 @@ def exact_im_kernel(model: IsingModel, beta, params: SawParams, constraint,
     num_states = len(states)
     num = model.num_vars
     n = constraint.distance
-    orders = (
-        (ORDER_UP_DOWN, ORDER_DOWN_UP)
-        if params.order_policy == "random"
-        else (params.order_policy,)
-    )
+    orders = policy_orders(params.order_policy)
     check_walk_lengths(params, n, num)
     total_paths = _kernel_paths(num_states, num, n, k, orders)
     if total_paths > budget:
@@ -197,13 +201,45 @@ def exact_im_kernel(model: IsingModel, beta, params: SawParams, constraint,
     )
 
 
-def stationarity_gap(result: ExactImKernel):
+def exact_metropolis_kernel(model: IsingModel, beta, constraint):
+    """The pair swap's kernel, by enumeration: from each shell state every
+    (disagreeing bit, agreeing bit) pair is proposed with probability
+    1 / (n * (M - n)) and accepted with min(1, exp(-beta * (E1 - E0))),
+    both energies summed from scratch."""
+    n = constraint.distance
+    if not 0 < n < constraint.num_vars:
+        raise ConfigurationError(
+            f"pair swaps need both sets nonempty, got distance {n} of "
+            f"{constraint.num_vars}")
+    states = enumerate_shell(constraint)
+    shell = exact_distribution(model, beta, states)
+    energies = [model.energy(list(bits)) for bits in states]
+    reference = constraint.reference
+    kernel = np.zeros((len(states), len(states)), dtype=np.float64)
+    for row, bits in enumerate(states):
+        disagree = [i for i, b in enumerate(bits) if b != reference[i]]
+        agree = [i for i, b in enumerate(bits) if b == reference[i]]
+        q = 1.0 / (len(disagree) * len(agree))
+        for i in disagree:
+            for j in agree:
+                swapped = list(bits)
+                swapped[i] ^= 1
+                swapped[j] ^= 1
+                col = shell.index[tuple(swapped)]
+                alpha = min(1.0, math.exp(-beta * (energies[col] - energies[row])))
+                kernel[row, col] += q * alpha
+                kernel[row, row] += q * (1.0 - alpha)
+    return ExactKernel(states=shell.states, probabilities=shell.probabilities,
+                       matrix=kernel)
+
+
+def stationarity_gap(result: ExactKernel):
     """max_i |(pi K)_i - pi_i| for the enumerated kernel."""
     pi = result.probabilities
     return float(np.max(np.abs(pi @ result.matrix - pi)))
 
 
-def detailed_balance_gap(result: ExactImKernel):
+def detailed_balance_gap(result: ExactKernel):
     """max over pairs of |pi_i K(j|i) - pi_j K(i|j)|."""
     flows = result.probabilities[:, None] * result.matrix
     return float(np.max(np.abs(flows - flows.T)))
@@ -215,9 +251,14 @@ def empirical_distribution(model, init, sampler, config, rng, shell: ExactShell,
 
     Runs ``samples * stride`` moves after burn-in and counts the state after
     every ``stride``-th move against the enumerated shell's row order.
+    ``samples`` and ``stride`` must be whole numbers >= 1 and ``burn_in``
+    one >= 0, as in ``run_chain``.
     """
     from .samplers import make_sampler
 
+    samples = integral(samples, "samples", 1)
+    stride = integral(stride, "stride", 1)
+    burn_in = integral(burn_in, "burn_in", 0)
     driver = make_sampler(model, init, sampler, config, rng=rng)
     for _ in range(burn_in):
         driver.step()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import os
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,8 +16,10 @@ from .model import IsingModel, ShellConstraint, ShellState, integral
 from .saw_proposal import (
     BitDraws,
     SawParams,
+    ScanWalkEngine,
     check_walk_lengths,
     draw_move_shape,
+    is_dense,
     make_engine,
     run_walks,
 )
@@ -169,11 +172,19 @@ class MetropolisSampler:
 
     Picks one disagreeing and one agreeing bit uniformly, proposes flipping
     both, and accepts with min(1, exp(-beta * deltaE)). The energy change is
-    evaluated exactly, including the coupling correction when the two bits are
-    graph neighbors. Random stream order per move: disagree pick, agree pick,
-    accept uniform, all three through ``BitDraws``, so they are the values
-    ``rng.integers`` and ``rng.random`` would give. An accepted swap hands
-    each bit's energy change to ``ShellState.flip``, except the second bit's
+    evaluated exactly, including the coupling correction
+    -4 * s_i * s_j * J_ij when the two bits are graph neighbors. Random
+    stream order per move: disagree pick, agree pick, accept uniform, all
+    three through ``BitDraws``, so they are the values ``rng.integers`` and
+    ``rng.random`` would give.
+
+    On a dense model (``is_dense``) the sampler binds a ``ScanWalkEngine``
+    and reads each bit's deltaE = 2 * s * (local + field) off its local
+    fields, and J_ij by bisection in bit i's ascending adjacency row; an
+    accepted swap is two engine flips. It never calls ``sample`` or
+    ``log_prob``, so the engine computes no logits. On a sparse model the
+    sampler sums both bits' neighbours, and an accepted swap hands each
+    bit's energy change to ``ShellState.flip``, except the second bit's
     when the two are neighbors, since the first flip changes its field.
 
     The picks index the sampler's own slot order, a permutation of the bits
@@ -199,6 +210,8 @@ class MetropolisSampler:
         self._draws = BitDraws(self.rng)
         self.shell_distance = n
         self._slots = state.disagree_indices() + state.agree_indices()
+        # a swap exponentiates only its own deltaE: no overflow rule, gamma 0
+        self._engine = ScanWalkEngine(model, state, 0.0) if is_dense(model) else None
         self.accepts = 0
         self.evals = 0
 
@@ -206,6 +219,7 @@ class MetropolisSampler:
         """Attempt one swap; returns (accepted, (disagree_bit, agree_bit))."""
         state = self.state
         model = self.model
+        engine = self._engine
         draws = self._draws
         slots = self._slots
         n = self.shell_distance
@@ -214,17 +228,27 @@ class MetropolisSampler:
         i = slots[a]
         j = slots[b]
         spins = state.spins
-        acc_i = model.fields[i]
-        coupling_ij = 0.0
-        adjacent = False
-        for nb, coupling in model.adjacency[i]:
-            acc_i += coupling * spins[nb]
-            if nb == j:
-                coupling_ij = coupling
-                adjacent = True
-        acc_j = model.fields[j]
-        for nb, coupling in model.adjacency[j]:
-            acc_j += coupling * spins[nb]
+        fields = model.fields
+        if engine is None:
+            acc_i = fields[i]
+            coupling_ij = 0.0
+            adjacent = False
+            for nb, coupling in model.adjacency[i]:
+                acc_i += coupling * spins[nb]
+                if nb == j:
+                    coupling_ij = coupling
+                    adjacent = True
+            acc_j = fields[j]
+            for nb, coupling in model.adjacency[j]:
+                acc_j += coupling * spins[nb]
+        else:
+            # a resync replaces the engine's vector
+            local = engine._local
+            acc_i = local.item(i) + fields[i]
+            acc_j = local.item(j) + fields[j]
+            row = model.adjacency[i]
+            pos = bisect_left(row, (j,))
+            coupling_ij = row[pos][1] if pos < len(row) and row[pos][0] == j else 0.0
         delta_i = 2.0 * spins[i] * acc_i
         delta_j = 2.0 * spins[j] * acc_j
         delta = delta_i + delta_j - 4.0 * spins[i] * spins[j] * coupling_ij
@@ -234,8 +258,12 @@ class MetropolisSampler:
             log_alpha = 0.0
         accepted = draws.uniform() < math.exp(log_alpha)
         if accepted:
-            state.flip(i, delta_i)
-            state.flip(j, None if adjacent else delta_j)
+            if engine is None:
+                state.flip(i, delta_i)
+                state.flip(j, None if adjacent else delta_j)
+            else:
+                engine.flip(i)
+                engine.flip(j)
             slots[a] = slots[n - 1]
             slots[n - 1] = j
             slots[b] = i
@@ -265,15 +293,9 @@ def run_chain(model, init: ShellState, sampler: str, num_moves, record_stride=1,
     recorded arrays are deterministic given the seed; only the wall-clock
     estimate varies between reruns.
     """
-    num_moves = integral(num_moves, "num_moves")
-    record_stride = integral(record_stride, "record_stride")
-    burn_in = integral(burn_in, "burn_in")
-    if num_moves < 1:
-        raise ValueError(f"num_moves must be >= 1, got {num_moves}")
-    if record_stride < 1:
-        raise ValueError(f"record_stride must be >= 1, got {record_stride}")
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
+    num_moves = integral(num_moves, "num_moves", 1)
+    record_stride = integral(record_stride, "record_stride", 1)
+    burn_in = integral(burn_in, "burn_in", 0)
     driver = make_sampler(model, init, sampler, config, rng=rng)
     for _ in range(burn_in):
         driver.step()

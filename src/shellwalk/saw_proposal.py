@@ -161,13 +161,15 @@ def feasible_k_max(distance, num_vars, order):
     raise ValueError(f"unknown order {order!r}")
 
 
+def policy_orders(policy):
+    """The walk orders ``policy`` can draw: both for ``"random"``, else its own."""
+    return (ORDER_UP_DOWN, ORDER_DOWN_UP) if policy == "random" else (policy,)
+
+
 def check_walk_lengths(params, distance, num_vars):
     """Raise ``ConfigurationError`` unless ``k_min`` is feasible for every
     order the policy can draw on this shell."""
-    orders = (ORDER_UP_DOWN, ORDER_DOWN_UP)
-    if params.order_policy != "random":
-        orders = (params.order_policy,)
-    for order in orders:
+    for order in policy_orders(params.order_policy):
         limit = feasible_k_max(distance, num_vars, order)
         if params.k_min > limit:
             raise ConfigurationError(
@@ -178,25 +180,30 @@ def check_walk_lengths(params, distance, num_vars):
 
 
 def may_overflow(model, gamma):
-    """Whether some flip's |gamma * deltaE / 2| can exceed ``MAX_SAFE_EXPONENT``."""
-    return 0.5 * gamma * model.max_flip_delta() > MAX_SAFE_EXPONENT
+    """Whether some flip's |gamma * deltaE / 2| can exceed ``MAX_SAFE_EXPONENT``;
+    at ``gamma == 0`` none can, and the O(E) bound is not computed."""
+    return gamma > 0.0 and 0.5 * gamma * model.max_flip_delta() > MAX_SAFE_EXPONENT
+
+
+def is_dense(model):
+    """Whether the model's average degree exceeds both
+    ``DENSE_DEGREE_FRACTION * num_vars`` and ``MIN_DENSE_DEGREE``."""
+    return model.average_degree > max(DENSE_DEGREE_FRACTION * model.num_vars, MIN_DENSE_DEGREE)
 
 
 def choose_engine_kind(model, gamma, kind="auto"):
     """Pick the candidate-weight engine.
 
-    The sum-tree engine wins for sparse models; a dense model (average degree
-    above ``DENSE_DEGREE_FRACTION * num_vars``) is cheaper to rescan per
-    step. Models whose worst-case |gamma * deltaE| could overflow exp() also
-    fall back to the scanning engine, which shifts exponents per step.
+    The sum-tree engine wins for sparse models; a dense model (``is_dense``)
+    is cheaper to rescan per step. Models whose worst-case |gamma * deltaE|
+    could overflow exp() also fall back to the scanning engine, which shifts
+    exponents per step.
     """
     if kind in ("tree", "scan"):
         return kind
     if kind != "auto":
         raise ValueError(f"engine must be 'auto', 'tree', or 'scan', got {kind!r}")
-    if model.average_degree > max(DENSE_DEGREE_FRACTION * model.num_vars, MIN_DENSE_DEGREE):
-        return "scan"
-    if may_overflow(model, gamma):
+    if is_dense(model) or may_overflow(model, gamma):
         return "scan"
     return "tree"
 
@@ -411,7 +418,8 @@ class ScanWalkEngine:
     exp() near overflow, its weights ``w = exp(z)`` in the same pass: one
     exp per state, shared by the next step's draw and the reverse-factor
     lookup just before it. Both are cached until the next flip, restore or
-    resync.
+    resync. ``MetropolisSampler`` binds one at gamma 0 on a dense model for
+    its local fields alone and computes no logits.
     """
 
     kind = "scan"

@@ -20,6 +20,7 @@ from shellwalk import (
     ImSampler,
     IsingModel,
     MetropolisConfig,
+    MetropolisSampler,
     SawParams,
     ShellConstraint,
     chain_rng,
@@ -35,6 +36,7 @@ from shellwalk.oracle import (
     enumerate_shell,
     exact_distribution,
     exact_im_kernel,
+    exact_metropolis_kernel,
     stationarity_gap,
     tv_distance,
 )
@@ -121,30 +123,29 @@ def test_sampling_correctness_tv():
     )
 
 
-def test_empirical_kernel_match():
-    """10^6 sampled transitions match the enumerated kernel row by row."""
-    model = chain6()
-    constraint = ShellConstraint((0,) * 6, 3)
-    params = SawParams(gamma=0.7, k_min=2, k_max=2)
-    kernel = exact_im_kernel(model, 0.7, params, constraint)
+def row_chisquare(kernel, sampler, state, steps):
+    """Run ``steps`` moves of ``sampler`` on ``state`` and test each visited
+    row's observed transitions against ``kernel.matrix`` by chi-square,
+    pooling cells expected below 5; returns the least p value and the number
+    of rows tested. A row left with one cell after pooling has no test."""
     index = {s: row for row, s in enumerate(kernel.states)}
-    rng = chain_rng(2024, 0)
-    state = random_shell_state(model, constraint, rng)
-    sampler = ImSampler(model, state, ImConfig(beta=0.7, saw=params), rng=rng)
     size = len(kernel.states)
     counts = np.zeros((size, size), dtype=np.int64)
     row = index[tuple(state.bits)]
-    for _ in range(1_000_000):
+    for _ in range(steps):
         sampler.step()
         new_row = index[tuple(state.bits)]
         counts[row, new_row] += 1
         row = new_row
     worst_p = 1.0
+    tested = 0
     for r in range(size):
         visits = counts[r].sum()
         assert visits > 0
         expected = visits * kernel.matrix[r]
         keep = expected >= 5
+        if not keep.any():
+            continue
         observed = np.append(counts[r][keep], counts[r][~keep].sum())
         grouped = np.append(expected[keep], expected[~keep].sum())
         if grouped[-1] < 5:  # fold a tiny pooled cell into the largest one
@@ -152,12 +153,61 @@ def test_empirical_kernel_match():
             grouped[top] += grouped[-1]
             observed[top] += observed[-1]
             grouped, observed = grouped[:-1], observed[:-1]
+        if len(grouped) < 2:
+            continue
         _, p = stats.chisquare(observed, grouped)
         worst_p = min(worst_p, p)
-    ok = worst_p > 0.001
+        tested += 1
+    return worst_p, tested
+
+
+def test_empirical_kernel_match():
+    """10^6 sampled transitions match the enumerated kernel row by row."""
+    model = chain6()
+    constraint = ShellConstraint((0,) * 6, 3)
+    params = SawParams(gamma=0.7, k_min=2, k_max=2)
+    kernel = exact_im_kernel(model, 0.7, params, constraint)
+    rng = chain_rng(2024, 0)
+    state = random_shell_state(model, constraint, rng)
+    sampler = ImSampler(model, state, ImConfig(beta=0.7, saw=params), rng=rng)
+    worst_p, tested = row_chisquare(kernel, sampler, state, 1_000_000)
+    ok = worst_p > 0.001 and tested == len(kernel.states)
     assert report(
         "kernel-match", ok,
         f"min per-row chi-square p {worst_p:.4f} over 10^6 steps (>0.001)",
+    )
+
+
+# (model, shell distance): the filter model is dense (average degree 8.73 on
+# 22 bits), so its swaps read the scan engine's fields; the grid is sparse
+METROPOLIS_KERNEL_MODELS = {
+    "rbm16x6": (lambda: rbm_gabor(16, 6, seed=3), 2),
+    "grid3": (lambda: grid2d(3, 1.0, 0.1), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(METROPOLIS_KERNEL_MODELS))
+def test_metropolis_kernel_match(name):
+    """10^6 sampled swaps match the enumerated pair-swap kernel row by row.
+
+    Over 100-odd rows the least of the rows' p values falls below 0.001 by
+    chance about one time in ten, so the bound is Bonferroni's: 0.001 over
+    the number of rows tested.
+    """
+    build, n = METROPOLIS_KERNEL_MODELS[name]
+    model = build()
+    constraint = ShellConstraint((0,) * model.num_vars, n)
+    kernel = exact_metropolis_kernel(model, 0.5, constraint)
+    rng = chain_rng(2024, 1)
+    state = random_shell_state(model, constraint, rng)
+    sampler = MetropolisSampler(model, state, MetropolisConfig(beta=0.5), rng=rng)
+    assert (sampler._engine is not None) == (name == "rbm16x6")
+    worst_p, tested = row_chisquare(kernel, sampler, state, 1_000_000)
+    ok = worst_p > 0.001 / tested and tested > 0.9 * len(kernel.states)
+    assert report(
+        f"metropolis-kernel-match-{name}", ok,
+        f"min per-row chi-square p {worst_p:.2e} over 10^6 swaps, {tested} of "
+        f"{len(kernel.states)} rows tested (>0.001/{tested})",
     )
 
 

@@ -140,12 +140,12 @@ TRACE_FILE_DIGESTS = {
         "trace_metropolis_000.csv":
             "12fd9fae649f9b431bedf2d1c225f32e87b86fa3e09c0681b8fd231614fa8644",
     },
-    # the scan engine's walk
+    # the scan engine's walk, and swaps that read the scan engine's fields
     "rbm": {
         "trace_im_000.csv":
             "596480e963802c2ad6d7eefc72757cbb952630827a0841a17e56ea0435e02ce7",
         "trace_metropolis_000.csv":
-            "6b6235cdfc197c1169d786cf278c0f53ec0b6863eb4be9b566cb5c6ff37c023e",
+            "b3f03ff523161ae1efa9b957bc2537833903ff610295c66b4c6e59f96c11a895",
     },
 }
 
@@ -199,7 +199,7 @@ OUTPUT_DIGESTS = {
         "acf_im.csv":
             "3daf15f4e04e160a8375c11f95c325b3845d0a3d4b5016b6583374962b59ce50",
         "acf_metropolis.csv":
-            "f524b529b9bdcfab5dc69673c092c995fcc4e2a305aa6784af76a5b913be11e1",
+            "7b64c49be9393adf80165967b7b8212e69dc53a7e44269d81f25d5719153777b",
         "acf_overlay.svg":
             "5be69f3ca4e7267eac5b83668da1cb9da90ace1f9e85e3ce4d51a929307b0f97",
         "energy_overlay.svg":
@@ -209,7 +209,7 @@ OUTPUT_DIGESTS = {
         "model.json":
             "ab9ea0f9f65b62dcc4aa9f9f002a3d95968e6de2ac2da14456c46c7f51279472",
         "summary.json":
-            "243cf4d04d28b35f9cc5cba3bc3c82806afb19023476b00307fa347c598b0d2f",
+            "f3866c05dfbc3909e7ee91c9578dab2f9578d03cab14761315bdd2bc889e179d",
     },
 }
 

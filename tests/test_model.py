@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from shellwalk import IsingModel, ShellConstraint, ShellState
 from shellwalk.errors import CoherenceError
-from shellwalk.generators import cube3d_pm_j, grid2d
+from shellwalk.generators import cube3d_pm_j, grid2d, rbm_gabor
 
 
 def naive_energy(model, bits):
@@ -246,6 +246,19 @@ class TestModelValidation:
             for j, coupling in row:
                 assert (min(i, j), max(i, j), coupling) in model.edges
         assert sum(len(r) for r in model.adjacency) == 2 * len(model.edges)
+
+    def test_adjacency_rows_are_ascending(self):
+        # the dense Metropolis swap finds J_ij by bisection in bit i's row
+        rng = np.random.default_rng(5)
+        edges = [(j, i, c) if rng.random() < 0.5 else (i, j, c)
+                 for i, j, c in random_model(rng, num_vars=12, edge_prob=0.5).edges]
+        shuffled = IsingModel(12, [edges[t] for t in rng.permutation(len(edges))],
+                              [0.0] * 12)
+        for model in (shuffled, grid2d(5, 1.0, 0.0), cube3d_pm_j(3, seed=1),
+                      rbm_gabor(16, 6, seed=3)):
+            for row in model.adjacency:
+                neighbours = [j for j, _ in row]
+                assert neighbours == sorted(set(neighbours))
 
 
 class TestShellConstraint:

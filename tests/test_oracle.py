@@ -6,6 +6,7 @@ import pytest
 from shellwalk import (
     ImConfig,
     IsingModel,
+    MetropolisConfig,
     SawParams,
     ShellConstraint,
     ShellState,
@@ -13,7 +14,7 @@ from shellwalk import (
     random_shell_state,
 )
 from shellwalk.errors import ConfigurationError, EnumerationBudgetError
-from shellwalk.generators import grid2d
+from shellwalk.generators import grid2d, rbm_gabor
 from shellwalk.oracle import (
     check_pathwise_db,
     detailed_balance_gap,
@@ -21,6 +22,7 @@ from shellwalk.oracle import (
     enumerate_shell,
     exact_distribution,
     exact_im_kernel,
+    exact_metropolis_kernel,
     stationarity_gap,
     tv_distance,
 )
@@ -192,6 +194,42 @@ class TestExactImKernel:
         assert detailed_balance_gap(result) <= 1e-12
 
 
+class TestExactMetropolisKernel:
+    @pytest.mark.parametrize("model, n", [
+        (rbm_gabor(16, 6, seed=3), 2),  # dense: average degree 8.73
+        (grid2d(3, 1.0, 0.1), 4),
+    ])
+    def test_stationarity_and_detailed_balance(self, model, n):
+        constraint = ShellConstraint((0,) * model.num_vars, n)
+        result = exact_metropolis_kernel(model, 0.5, constraint)
+        assert len(result.states) == math.comb(model.num_vars, n)
+        assert np.max(np.abs(result.matrix.sum(axis=1) - 1.0)) <= 1e-12
+        assert stationarity_gap(result) <= 1e-12
+        assert detailed_balance_gap(result) <= 1e-12
+
+    def test_infinite_temperature_moves_uniformly(self):
+        # every swap is accepted: each of the n * (M - n) = 4 swaps gets 1/4
+        model = chain_model(4)
+        result = exact_metropolis_kernel(model, 0.0, ShellConstraint((0,) * 4, 2))
+        assert np.all(np.diag(result.matrix) == 0.0)
+        assert np.all(np.isin(result.matrix, (0.0, 0.25)))
+
+    def test_swap_weights_by_hand(self):
+        # two bits joined by J = 1 at distance 1: a swap keeps the coupling
+        # term, so only the field on bit 0 separates E(01) = 1.3 from
+        # E(10) = 0.7; the swap down is always accepted
+        model = IsingModel(2, [(0, 1, 1.0)], [0.3, 0.0])
+        result = exact_metropolis_kernel(model, 1.0, ShellConstraint((0, 0), 1))
+        assert result.states == ((0, 1), (1, 0))
+        assert result.matrix[0].tolist() == [0.0, 1.0]
+        assert result.matrix[1] == pytest.approx([math.exp(-0.6), 1 - math.exp(-0.6)])
+
+    @pytest.mark.parametrize("n", [0, 4])
+    def test_one_sided_shell_is_refused(self, n):
+        with pytest.raises(ConfigurationError, match="both sets nonempty"):
+            exact_metropolis_kernel(chain_model(4), 1.0, ShellConstraint((0,) * 4, n))
+
+
 class TestCheckPathwiseDb:
     def sample_move(self, seed, interior=False):
         rng = np.random.default_rng(seed)
@@ -246,6 +284,38 @@ class TestEmpiricalDistribution:
         empirical = empirical_distribution(model, init, "im", config, rng, shell,
                                            samples=20_000, burn_in=1000)
         assert tv_distance(empirical, shell.probabilities) < 0.03
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("samples", 0, "samples must be >= 1"),
+        ("samples", 2.5, "samples must be an integer"),
+        ("stride", 0, "stride must be >= 1"),
+        ("stride", 1.5, "stride must be an integer"),
+        ("burn_in", -50, "burn_in must be >= 0"),
+        ("burn_in", 0.5, "burn_in must be an integer"),
+    ])
+    def test_bad_counts_are_refused(self, name, value, message):
+        model = grid2d(3, 1.0, 0.0)
+        constraint = ShellConstraint((0,) * 9, 4)
+        shell = exact_distribution(model, 0.44, enumerate_shell(constraint))
+        rng = chain_rng(4)
+        init = random_shell_state(model, constraint, rng)
+        counts = {"samples": 10, "stride": 1, "burn_in": 0, name: value}
+        with pytest.raises(ValueError, match=message):
+            empirical_distribution(model, init, "metropolis",
+                                   MetropolisConfig(beta=0.44), rng, shell, **counts)
+
+    def test_whole_float_counts_run(self):
+        model = grid2d(3, 1.0, 0.0)
+        constraint = ShellConstraint((0,) * 9, 4)
+        shell = exact_distribution(model, 0.44, enumerate_shell(constraint))
+        runs = []
+        for samples, stride, burn_in in ((50, 2, 10), (50.0, 2.0, 10.0)):
+            rng = chain_rng(4)
+            init = random_shell_state(model, constraint, rng)
+            runs.append(empirical_distribution(
+                model, init, "metropolis", MetropolisConfig(beta=0.44), rng, shell,
+                samples=samples, stride=stride, burn_in=burn_in))
+        assert runs[0].tolist() == runs[1].tolist()
 
     def test_index_maps_each_state_to_its_row(self):
         states = enumerate_shell(ShellConstraint((0,) * 5, 2))

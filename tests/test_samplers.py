@@ -21,12 +21,15 @@ from shellwalk import (
 from shellwalk.analysis import load_trace
 from shellwalk.errors import CoherenceError, ConfigurationError
 from shellwalk.generators import cube3d_pm_j, grid2d, rbm_gabor
+from shellwalk.model import COHERENCE_RTOL
 from shellwalk.oracle import check_pathwise_db
 from shellwalk.samplers import BitDraws
 from shellwalk.saw_proposal import (
     ORDER_DOWN_UP,
     ORDER_POLICIES,
     ORDER_UP_DOWN,
+    RESYNC_INTERVAL,
+    ScanWalkEngine,
     draw_move_shape,
     feasible_k_max,
     propose,
@@ -455,9 +458,19 @@ SWAP_MODELS = {
 }
 
 
+def assert_coherent(energy, other):
+    assert abs(energy - other) <= COHERENCE_RTOL * (1.0 + abs(other))
+
+
 class TestSwapsMatchParent:
     @pytest.mark.parametrize("name", sorted(SWAP_MODELS))
     def test_swap_by_swap(self, name):
+        """Picks, outcomes, slots and the random stream equal the parent's.
+        On sparse models so does every energy. The dense filter model's
+        swap reads the scan engine's incrementally updated fields, whose
+        sums differ from the parent's in the last bits, so its energy is
+        held within ``COHERENCE_RTOL`` of the parent's and of a from-scratch
+        sum."""
         model, reference, n, beta = SWAP_MODELS[name]()
         rng = chain_rng(31)
         state = random_shell_state(model, ShellConstraint(reference, n), rng)
@@ -465,11 +478,17 @@ class TestSwapsMatchParent:
         twin = state.copy()
         sampler = MetropolisSampler(model, state, MetropolisConfig(beta=beta), rng=rng)
         parent = ParentMetropolis(model, twin, beta, twin_rng)
+        dense = name == "rbm-desk"
+        assert (sampler._engine is not None) == dense
         accepted_total = 0
         for swap in range(1, 2001):
             outcome = sampler.step()
             assert outcome == parent.step()
-            assert state.energy == twin.energy
+            if dense:
+                assert_coherent(state.energy, twin.energy)
+                assert_coherent(state.energy, model.energy(state.bits))
+            else:
+                assert state.energy == twin.energy
             accepted_total += outcome[0]
             assert sampler.evals == 2 * swap
         assert 0 < accepted_total < 2000
@@ -487,6 +506,58 @@ class TestSwapsMatchParent:
             state = random_shell_state(model, constraint, rng)
             assert state.bits == parent_shell_bits(constraint, twin)
             assert_same_stream(rng, twin)
+
+
+class TestDenseSwap:
+    def test_only_a_dense_model_binds_an_engine(self):
+        for model, dense in ((rbm_gabor(16, 6, seed=3), True),
+                             (rbm_gabor(4, 6, seed=3), False),  # degree 4.8
+                             (grid2d(4, 1.0, 0.1), False),
+                             (cube3d_pm_j(3, seed=1), False)):
+            constraint = ShellConstraint((0,) * model.num_vars, 2)
+            state = random_shell_state(model, constraint, chain_rng(1))
+            sampler = MetropolisSampler(model, state, MetropolisConfig(beta=0.5))
+            engine = sampler._engine
+            assert (engine is not None) == dense
+            if dense:
+                assert isinstance(engine, ScanWalkEngine)
+                assert engine.state is state and engine.gamma == 0.0
+
+    def test_swaps_compute_no_logits(self):
+        model = rbm_gabor(16, 6, seed=3)
+        constraint = ShellConstraint((0,) * model.num_vars, 2)
+        rng = chain_rng(2)
+        state = random_shell_state(model, constraint, rng)
+        sampler = MetropolisSampler(model, state, MetropolisConfig(beta=0.5), rng=rng)
+        for _ in range(500):
+            sampler.step()
+        assert sampler.accepts > 0
+        assert sampler._engine._z is None and sampler._engine.evals == 0
+
+    def test_audited_chain_crosses_a_resync(self):
+        # beta 0.5 accepts about 40 % of swaps, so 2^16 flips take about
+        # 80 000 swaps; the engine rebuilds its fields once, checking them
+        model = rbm_gabor(16, 6, seed=3)
+        constraint = ShellConstraint((0,) * model.num_vars, 2)
+        rng = chain_rng(8)
+        state = random_shell_state(model, constraint, rng, audit=True)
+        sampler = MetropolisSampler(model, state, MetropolisConfig(beta=0.5), rng=rng)
+        engine = sampler._engine
+        syncs = []
+        rebuild = engine.sync
+
+        def counted():
+            syncs.append(state._flips)
+            rebuild()
+
+        engine.sync = counted
+        while state._flips < RESYNC_INTERVAL + 1000:
+            sampler.step()
+        assert syncs == [RESYNC_INTERVAL]
+        assert_coherent(state.energy, model.energy(state.bits))
+        spins = state.spins
+        for i, row in enumerate(model.adjacency):
+            assert_coherent(engine._local.item(i), sum(c * spins[j] for j, c in row))
 
 
 @pytest.mark.parametrize("sampler", ["im", "metropolis"])

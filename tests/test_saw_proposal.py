@@ -24,7 +24,10 @@ from shellwalk.saw_proposal import (
     check_walk_lengths,
     choose_engine_kind,
     feasible_k_max,
+    is_dense,
+    may_overflow,
     path_log_prob,
+    policy_orders,
     propose,
     reverse_sequences,
     run_walks,
@@ -325,12 +328,24 @@ class TestEngines:
         assert choose_engine_kind(sparse, 0.5) == "tree"
         dense = rbm_gabor(16, 8, seed=0)
         assert choose_engine_kind(dense, 0.5) == "scan"
+        assert not is_dense(sparse) and is_dense(dense)
         # extreme couplings overflow raw exponential weights
         hot = IsingModel(4, [(0, 1, 4000.0)], [0.0] * 4)
         assert choose_engine_kind(hot, 1.0) == "scan"
         assert choose_engine_kind(hot, 1.0, kind="tree") == "tree"
         with pytest.raises(ValueError):
             choose_engine_kind(sparse, 0.5, kind="bogus")
+
+    def test_zero_gamma_never_overflows_and_skips_the_bound(self, monkeypatch):
+        hot = IsingModel(4, [(0, 1, 4000.0)], [0.0] * 4)
+        assert may_overflow(hot, 1.0)
+
+        def refused(model):
+            raise AssertionError("max_flip_delta scanned at gamma 0")
+
+        monkeypatch.setattr(IsingModel, "max_flip_delta", refused)
+        assert not may_overflow(hot, 0.0)
+        assert choose_engine_kind(hot, 0.0) == "tree"
 
     @pytest.mark.parametrize("kind", ["tree", "scan", "auto"])
     def test_zero_variable_model_proposes_empty_move(self, kind):
@@ -777,6 +792,11 @@ class TestKDraw:
         rng = np.random.default_rng(0)
         with pytest.raises(ConfigurationError):
             propose(model, state, SawParams(gamma=0.2, k_min=3, k_max=5), rng)
+
+    def test_policy_orders(self):
+        assert policy_orders("random") == (ORDER_UP_DOWN, ORDER_DOWN_UP)
+        assert policy_orders(ORDER_UP_DOWN) == (ORDER_UP_DOWN,)
+        assert policy_orders(ORDER_DOWN_UP) == (ORDER_DOWN_UP,)
 
     def test_check_walk_lengths(self):
         up_down = SawParams(gamma=0.2, k_min=2, k_max=4)
