@@ -302,11 +302,13 @@ def _verify_tv(report, samples, seed):
 
 def cmd_verify(args):
     # the battery takes about 30 s at its defaults: fail on a missing --out
-    # directory before running it
+    # directory, or an --out that is one, before running it
     if args.out:
         out_dir = os.path.dirname(args.out) or "."
         if not os.path.isdir(out_dir):
             raise FileNotFoundError(f"no such directory for --out: {out_dir!r}")
+        if os.path.isdir(args.out):
+            raise IsADirectoryError(f"--out is a directory: {args.out!r}")
     report = {}
     _verify_kernel(report)
     _verify_pathwise(report, args.pathwise_moves, args.seed,

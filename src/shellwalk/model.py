@@ -59,9 +59,7 @@ class IsingModel:
     )
 
     def __init__(self, num_vars, edges, fields=None, meta=None):
-        if num_vars < 0:
-            raise ValueError(f"num_vars must be nonnegative, got {num_vars}")
-        self.num_vars = int(num_vars)
+        self.num_vars = integral(num_vars, "num_vars", 0)
 
         if fields is None:
             fields = [0.0] * self.num_vars
@@ -76,8 +74,10 @@ class IsingModel:
         self.fields = fields
 
         normalized = []
-        for row, (i, j, coupling) in enumerate(edges):
-            i, j, coupling = int(i), int(j), float(coupling)
+        for row, (a, b, coupling) in enumerate(edges):
+            i, j, coupling = int(a), int(b), float(coupling)
+            if i != a or j != b:
+                raise ValueError(f"edge {row} endpoints must be integers: ({a!r}, {b!r})")
             if i == j:
                 raise ValueError(f"edge {row} is a self-loop: ({i}, {j})")
             if i > j:

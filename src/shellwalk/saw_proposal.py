@@ -238,8 +238,6 @@ class TreeWalkEngine:
     with the energy change read off the local field.
     """
 
-    kind = "tree"
-
     def __init__(self, model: IsingModel, state: ShellState, gamma: float):
         self.model = model
         self.state = state
@@ -393,15 +391,21 @@ class TreeWalkEngine:
         self.state.restore(state)
 
     def sample(self, toward, u):
-        tree = self._toward if toward else self._away
-        i = tree.sample(u)
-        return i, tree.log_weight_fraction(i)
+        i = (self._toward if toward else self._away).sample(u)
+        return i, self.log_prob(toward, i)
 
     def log_prob(self, toward, i):
+        """log(w_i) - log(total) off the ``toward`` tree's nodes, raising on
+        a zero weight as the step loop does."""
         if self.state.in_disagree(i) != toward:
             return NEG_INF
-        tree = self._toward if toward else self._away
-        return tree.log_weight_fraction(i)
+        nodes = (self._toward if toward else self._away)._nodes
+        w = nodes[self._base + i]
+        total = nodes[1]
+        if w <= 0.0 or total <= 0.0:
+            raise ValueError(
+                f"log weight fraction undefined for weight {w} of total {total}")
+        return math.log(w) - math.log(total)
 
 
 class ScanWalkEngine:
@@ -421,8 +425,6 @@ class ScanWalkEngine:
     resync. ``MetropolisSampler`` binds one at gamma 0 on a dense model for
     its local fields alone and computes no logits.
     """
-
-    kind = "scan"
 
     def __init__(self, model: IsingModel, state: ShellState, gamma: float):
         self.model = model

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 
 class WeightedIndexTree:
     """Complete binary tree of partial sums over nonnegative leaf weights.
@@ -14,6 +12,9 @@ class WeightedIndexTree:
     leaf and its ancestors, ceil(log2(l)) + 1 nodes. An update recomputes
     every ancestor from its two children, so the internal sums always equal
     a fresh build's and never drift.
+
+    The tree engine's walk climbs ``_nodes`` itself; ``update`` stays as the
+    climb the benchmark harness times and the tests' reference climb.
     """
 
     __slots__ = ("_n", "_base", "_nodes")
@@ -32,16 +33,6 @@ class WeightedIndexTree:
         nodes[base : base + self._n] = weights
         for p in range(base - 1, 0, -1):
             nodes[p] = nodes[2 * p] + nodes[2 * p + 1]
-
-    @property
-    def total(self):
-        return self._nodes[1]
-
-    def weights(self):
-        return list(self._nodes[self._base : self._base + self._n])
-
-    def internal_sums(self):
-        return list(self._nodes[1 : self._base])
 
     def update(self, i, w):
         """Set leaf ``i`` to ``w`` and fix every ancestor sum."""
@@ -78,15 +69,3 @@ class WeightedIndexTree:
                 node += 1
                 target -= lw
         return node - base
-
-    def log_weight_fraction(self, i):
-        """log(w_i) - log(total); raises on zero weight or empty support."""
-        if not 0 <= i < self._n:
-            raise IndexError(f"index {i} out of range [0, {self._n})")
-        w = self._nodes[self._base + i]
-        total = self._nodes[1]
-        if w <= 0.0 or total <= 0.0:
-            raise ValueError(
-                f"log weight fraction undefined for weight {w} of total {total}"
-            )
-        return math.log(w) - math.log(total)

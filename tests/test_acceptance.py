@@ -341,8 +341,8 @@ def test_weighted_index_oracle():
         work[i] = float(rng.uniform(0.0, 1.0))
         tree2.update(i, work[i])
     rebuild_gap = float(
-        np.max(np.abs(np.array(tree2.internal_sums())
-                      - np.array(WeightedIndexTree(work).internal_sums())))
+        np.max(np.abs(np.array(tree2._nodes[1:tree2._base])
+                      - np.array(WeightedIndexTree(work)._nodes[1:tree2._base])))
     )
     ok = p > 0.001 and rebuild_gap <= 1e-7
     assert report(

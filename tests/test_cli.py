@@ -440,6 +440,24 @@ class TestVerify:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    def test_directory_as_out_runs_nothing(self, tmp_path, capsys,
+                                           monkeypatch):
+        def battery_ran(report):
+            raise AssertionError("the battery ran before --out was checked")
+
+        monkeypatch.setattr("shellwalk.cli._verify_kernel", battery_ran)
+        out = tmp_path / "report.json"
+        out.mkdir()
+        code = run_cli("verify", "--pathwise-moves", 10, "--tv-samples", 500,
+                       "--out", out)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("I/O error:")
+        assert "report.json" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [out]
+        assert list(out.iterdir()) == []
+
     def test_failed_write_still_prints_the_report(self, tmp_path, capsys,
                                                   monkeypatch):
         def refuse(path, doc):

@@ -235,6 +235,21 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             IsingModel(3, [], [0.0, 0.0])
 
+    @pytest.mark.parametrize("num_vars, edges, fields, named", [
+        (2.9, [], [0.0, 0.0], "2.9"),
+        (3, [(0, 1.7, 1.0)], None, "1.7"),
+        (3, [(0, 1, 1.0), (1.2, 2, 2.0)], None, "1.2"),
+    ])
+    def test_fractional_counts_are_refused_not_truncated(self, num_vars, edges,
+                                                         fields, named):
+        with pytest.raises(ValueError, match=named):
+            IsingModel(num_vars, edges, fields)
+
+    def test_integral_counts_of_any_type_are_accepted(self):
+        model = IsingModel(np.int64(3), [(np.int64(2), 1.0, 1.0)], [0.0] * 3)
+        assert model.num_vars == 3 and type(model.num_vars) is int
+        assert model.edges == ((1, 2, 1.0),)
+
     def test_normalizes_edge_order(self):
         model = IsingModel(3, [(2, 0, 1.5)], [0.0] * 3)
         assert model.edges == ((0, 2, 1.5),)

@@ -30,6 +30,7 @@ from shellwalk.saw_proposal import (
     ORDER_UP_DOWN,
     RESYNC_INTERVAL,
     ScanWalkEngine,
+    TreeWalkEngine,
     draw_move_shape,
     feasible_k_max,
     propose,
@@ -127,7 +128,7 @@ def engine_snapshot(engine):
     state = engine.state
     parts = [list(state.bits), list(state.spins), state.energy, state.distance,
              state.disagree_indices(), state.agree_indices()]
-    if engine.kind == "tree":
+    if isinstance(engine, TreeWalkEngine):
         return parts + [list(engine._local), list(engine._toward._nodes),
                         list(engine._away._nodes)]
     return parts + [engine._local.tolist(), engine._side.tolist()]

@@ -548,6 +548,54 @@ class TestScanCacheCoherence:
             assert_scan_matches_fresh(engine)
 
 
+class TestTreeLogProb:
+    """``TreeWalkEngine.log_prob`` is log(w_i) - log(total) in the tree of
+    bit i's side, and ``sample`` pairs its draw with that value."""
+
+    def test_uniform_at_gamma_zero(self):
+        model = grid2d(4, 0.37, 0.11)
+        state = ShellState(model, [1] * 5 + [0] * 11, (0,) * 16)
+        engine = TreeWalkEngine(model, state, gamma=0.0)
+        for i in range(16):
+            toward = state.in_disagree(i)
+            assert engine.log_prob(toward, i) == -math.log(5 if toward else 11)
+            assert engine.log_prob(not toward, i) == NEG_INF
+
+    def test_single_support(self):
+        model = grid2d(3, 0.37, 0.11)
+        state = ShellState(model, [0] * 4 + [1] + [0] * 4, (0,) * 9)
+        engine = TreeWalkEngine(model, state, gamma=0.8)
+        assert engine.log_prob(True, 4) == 0.0
+        assert engine.sample(True, 0.7) == (4, 0.0)
+
+    def test_matches_naive(self):
+        model = field_grid(5)
+        rng = np.random.default_rng(5)
+        state = random_shell_state(model, ShellConstraint((0,) * 36, 12), rng)
+        engine = TreeWalkEngine(model, state, gamma=0.8)
+        spins = state.spins
+        weights = [math.exp(-0.8 * spins[i] * (model.fields[i] + sum(
+            c * spins[j] for j, c in model.adjacency[i]))) for i in range(36)]
+        for toward in (True, False):
+            side = [i for i in range(36) if state.in_disagree(i) == toward]
+            total = math.fsum(weights[i] for i in side)
+            for i in side:
+                naive = math.log(weights[i] / total)
+                assert engine.log_prob(toward, i) == pytest.approx(naive, abs=1e-12)
+            for u in rng.random(20):
+                i, log_p = engine.sample(toward, float(u))
+                assert i in side
+                assert log_p == pytest.approx(math.log(weights[i] / total), abs=1e-12)
+
+    def test_zero_weight_is_domain_error(self):
+        model, state, _ = random_grid_state(17, n=4)
+        engine = TreeWalkEngine(model, state, gamma=0.5)
+        i = state.disagree_indices()[0]
+        engine._toward.update(i, 0.0)
+        with pytest.raises(ValueError, match="undefined for weight 0.0 of total"):
+            engine.log_prob(True, i)
+
+
 def field_grid(seed):
     """A 6x6 grid with a non-integer coupling and random non-integer fields."""
     rng = np.random.default_rng(seed)
@@ -559,9 +607,10 @@ def assert_trees_are_exact(engine):
     """Each tree's nodes equal a fresh build from the engine's own leaves,
     and each leaf is its bit's weight in its own set's tree, 0.0 in the other."""
     model, state = engine.model, engine.state
-    for tree in (engine._toward, engine._away):
-        assert tree._nodes == WeightedIndexTree(tree.weights())._nodes
-    toward, away = engine._toward.weights(), engine._away.weights()
+    toward, away = (tree._nodes[tree._base:tree._base + tree._n]
+                    for tree in (engine._toward, engine._away))
+    assert engine._toward._nodes == WeightedIndexTree(toward)._nodes
+    assert engine._away._nodes == WeightedIndexTree(away)._nodes
     for j in range(model.num_vars):
         assert engine._local[j] == pytest.approx(
             sum(c * state.spins[n] for n, c in model.adjacency[j]), abs=1e-12)

@@ -22,11 +22,11 @@ def naive_sample(weights, u):
 
 class TestBuild:
     def test_uniform_total(self):
-        assert WeightedIndexTree([1, 1, 1, 1]).total == 4.0
+        assert WeightedIndexTree([1, 1, 1, 1])._nodes[1] == 4.0
 
     def test_empty_tree(self):
         tree = WeightedIndexTree([])
-        assert tree.total == 0.0
+        assert tree._nodes[1] == 0.0
         with pytest.raises(ValueError):
             tree.sample(0.5)
 
@@ -34,7 +34,7 @@ class TestBuild:
         rng = np.random.default_rng(0)
         weights = rng.uniform(0, 10, size=1000)
         tree = WeightedIndexTree(weights)
-        assert tree.total == pytest.approx(math.fsum(weights), abs=1e-9)
+        assert tree._nodes[1] == pytest.approx(math.fsum(weights), abs=1e-9)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -81,7 +81,7 @@ class TestSample:
     def test_interval_partition(self, weights):
         # evaluating just inside each leaf's prefix interval must return it
         tree = WeightedIndexTree(weights)
-        total = tree.total
+        total = tree._nodes[1]
         eps = 1e-9
         acc = 0.0
         for i, w in enumerate(weights):
@@ -110,7 +110,7 @@ class TestSample:
             if weights.sum() <= 0.0:
                 continue
             tree = WeightedIndexTree(weights)
-            total = tree.total
+            total = tree._nodes[1]
             us = set(rng.random(20).tolist())
             for acc in np.cumsum(weights).tolist():
                 u = acc / total
@@ -131,9 +131,9 @@ class TestUpdate:
 
     def test_total_additivity(self):
         tree = WeightedIndexTree([1.0, 2.0, 3.0])
-        old_total = tree.total
+        old_total = tree._nodes[1]
         tree.update(1, 5.0)
-        assert tree.total == pytest.approx(old_total - 2.0 + 5.0, abs=1e-9)
+        assert tree._nodes[1] == pytest.approx(old_total - 2.0 + 5.0, abs=1e-9)
 
     def test_many_updates_match_rebuild(self):
         rng = np.random.default_rng(9)
@@ -144,8 +144,10 @@ class TestUpdate:
             weights[i] = float(rng.uniform(0, 1))
             tree.update(i, weights[i])
         fresh = WeightedIndexTree(weights)
-        assert tree.internal_sums() == fresh.internal_sums()
-        assert tree.weights() == fresh.weights()
+        # internal nodes, then leaves
+        assert tree._nodes[1:tree._base] == fresh._nodes[1:fresh._base]
+        assert (tree._nodes[tree._base:tree._base + tree._n]
+                == fresh._nodes[fresh._base:fresh._base + fresh._n])
 
     def test_rejects_negative(self):
         tree = WeightedIndexTree([1.0])
@@ -175,31 +177,6 @@ def two_child_descent(tree, u):
             node = left + 1
             target -= lw
     return node - base
-
-
-class TestLogWeightFraction:
-    def test_uniform(self):
-        tree = WeightedIndexTree([1.0] * 4)
-        assert tree.log_weight_fraction(2) == pytest.approx(-math.log(4))
-
-    def test_single_support(self):
-        tree = WeightedIndexTree([0.0, 7.0, 0.0])
-        assert tree.log_weight_fraction(1) == pytest.approx(0.0)
-
-    def test_matches_naive(self):
-        rng = np.random.default_rng(5)
-        weights = rng.uniform(0.1, 4.0, size=50)
-        tree = WeightedIndexTree(weights)
-        total = math.fsum(weights)
-        for i in range(50):
-            assert tree.log_weight_fraction(i) == pytest.approx(
-                math.log(weights[i] / total), abs=1e-12
-            )
-
-    def test_zero_weight_is_domain_error(self):
-        tree = WeightedIndexTree([0.0, 1.0])
-        with pytest.raises(ValueError):
-            tree.log_weight_fraction(0)
 
 
 class _CountingNodes(list):
