@@ -37,7 +37,6 @@ from .generators import (
 )
 from .model import IsingModel, ShellConstraint, ShellState
 from .oracle import (
-    ExactImKernel,
     ExactShell,
     check_pathwise_db,
     detailed_balance_gap,

@@ -232,7 +232,6 @@ class ShellState:
     __slots__ = (
         "model",
         "spins",
-        "reference",
         "disagree_spin",
         "distance",
         "energy",
@@ -249,8 +248,8 @@ class ShellState:
         self.model = model
         bits = bit_tuple(bits, "bits")
         self.spins = [2.0 * b - 1.0 for b in bits]
-        self.reference = bit_tuple(reference, "reference")
-        self.disagree_spin = tuple([1.0 - 2.0 * r for r in self.reference])
+        self.disagree_spin = tuple(
+            [1.0 - 2.0 * r for r in bit_tuple(reference, "reference")])
         self.distance = sum(s == d for s, d in zip(self.spins, self.disagree_spin))
         self.energy = model.energy(bits)
         self._flips = 0
@@ -260,7 +259,6 @@ class ShellState:
         new = object.__new__(ShellState)
         new.model = self.model
         new.spins = list(self.spins)
-        new.reference = self.reference
         new.disagree_spin = self.disagree_spin
         new.distance = self.distance
         new.energy = self.energy

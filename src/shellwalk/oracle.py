@@ -93,22 +93,6 @@ class ExactKernel:
     matrix: np.ndarray
 
 
-@dataclass
-class ExactImKernel(ExactKernel):
-    """Fully enumerated transition kernel of the walk sampler.
-
-    ``proposal`` is the marginal proposal probability f(x1 | x0)
-    summed over all allowable walk pairs; ``alpha_effective`` the
-    path-averaged acceptance between two states, and ``alpha_marginal`` the
-    accept ratio the intractable marginalized proposal would have used. The
-    last two generally differ, which is why the sampler accepts pathwise.
-    """
-
-    proposal: np.ndarray
-    alpha_effective: np.ndarray
-    alpha_marginal: np.ndarray
-
-
 def _kernel_paths(num_states, num_vars, n, k, orders):
     total = 0
     for order in orders:
@@ -126,7 +110,10 @@ def exact_im_kernel(model: IsingModel, beta, params: SawParams, constraint,
 
     Requires a fixed walk length (k_min == k_max). The enumeration replays
     each pair with ``path_log_prob`` in both directions, so the accumulated
-    flows satisfy pathwise detailed balance identically.
+    flows satisfy pathwise detailed balance identically. The path-averaged
+    accept rate between two states generally differs from the ratio the
+    intractable marginal proposal would give, which is why the sampler
+    accepts pathwise.
     """
     if params.k_min != params.k_max:
         raise ValueError("kernel enumeration requires a fixed walk length")
@@ -147,8 +134,6 @@ def exact_im_kernel(model: IsingModel, beta, params: SawParams, constraint,
     order_weight = 1.0 / len(orders)
     gamma = params.gamma
     kernel = np.zeros((num_states, num_states), dtype=np.float64)
-    proposal = np.zeros_like(kernel)
-    accepted_flow = np.zeros_like(kernel)
 
     for row, bits in enumerate(states):
         start = ShellState(model, list(bits), constraint.reference)
@@ -180,25 +165,11 @@ def exact_im_kernel(model: IsingModel, beta, params: SawParams, constraint,
                     log_alpha = -beta * (end.energy - e0) + log_rev - log_fwd
                     alpha = 1.0 if log_alpha >= 0.0 else math.exp(log_alpha)
                     f = order_weight * math.exp(log_fwd)
-                    proposal[row, col] += f
-                    accepted_flow[row, col] += f * alpha
                     kernel[row, col] += f * alpha
                     kernel[row, row] += f * (1.0 - alpha)
 
-    with np.errstate(invalid="ignore", divide="ignore"):
-        alpha_eff = np.where(proposal > 0.0, accepted_flow / proposal, 0.0)
-        ratio = (
-            shell.probabilities[None, :] * proposal.T
-        ) / (shell.probabilities[:, None] * proposal)
-        alpha_mar = np.where(proposal > 0.0, np.minimum(1.0, ratio), 0.0)
-    return ExactImKernel(
-        states=shell.states,
-        probabilities=shell.probabilities,
-        matrix=kernel,
-        proposal=proposal,
-        alpha_effective=alpha_eff,
-        alpha_marginal=alpha_mar,
-    )
+    return ExactKernel(states=shell.states, probabilities=shell.probabilities,
+                       matrix=kernel)
 
 
 def exact_metropolis_kernel(model: IsingModel, beta, constraint):
@@ -226,7 +197,8 @@ def exact_metropolis_kernel(model: IsingModel, beta, constraint):
                 swapped[i] ^= 1
                 swapped[j] ^= 1
                 col = shell.index[tuple(swapped)]
-                alpha = min(1.0, math.exp(-beta * (energies[col] - energies[row])))
+                log_alpha = -beta * (energies[col] - energies[row])
+                alpha = 1.0 if log_alpha >= 0.0 else math.exp(log_alpha)
                 kernel[row, col] += q * alpha
                 kernel[row, row] += q * (1.0 - alpha)
     return ExactKernel(states=shell.states, probabilities=shell.probabilities,
@@ -276,8 +248,9 @@ def check_pathwise_db(model: IsingModel, beta, move: SawMove, start: ShellState)
     The left side uses the move's own recorded log probabilities (exactly the
     quantities its accept ratio used); the right side is rebuilt from scratch:
     independent path replays in both directions and from-scratch energies.
-    Returns (lhs, rhs, relative_gap) with the unnormalized shell weights; the
-    normalizer cancels.
+    Returns (lhs_log, rhs_log, relative_gap): the logs of both sides with
+    the unnormalized shell weights (the normalizer cancels), kept in logs
+    because the weights themselves can overflow a double.
     """
     e0 = model.energy(start.bits)
     e1 = model.energy(move.proposed.bits)
@@ -297,4 +270,4 @@ def check_pathwise_db(model: IsingModel, beta, move: SawMove, start: ShellState)
     rhs_log = rhs_base + min(0.0, rhs_other - rhs_base)
 
     gap = 1.0 - math.exp(-abs(lhs_log - rhs_log))
-    return math.exp(lhs_log), math.exp(rhs_log), gap
+    return lhs_log, rhs_log, gap

@@ -148,6 +148,16 @@ class TestSample:
                        "--beta", 0.4, "--n", 10, "--moves", 10,
                        "--out", tmp_path / "o") == 1
 
+    def test_n_fraction_floors_the_shell_distance(self, small_model, tmp_path):
+        # half of the 9 grid bits, rounded down
+        out = tmp_path / "o"
+        assert run_cli("sample", "--model", small_model, "--sampler", "im",
+                       "--beta", 0.4, "--n-fraction", 0.5, "--moves", 20,
+                       "--out", out) == 0
+        assert "# n=4\n" in (out / "trace_im_000.csv").read_text()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["params"]["n"] == 4
+
     @pytest.mark.parametrize("fraction", ["inf", "nan", "1e308"])
     def test_bad_n_fraction_is_usage_error(self, small_model, tmp_path, capsys,
                                            fraction):
@@ -490,6 +500,19 @@ class TestExperiment:
         assert (out / "summary.json").exists()
         assert (out / "acf_overlay.svg").exists()
         assert len(list(out.glob("trace_*.csv"))) == 4
+
+    def test_verbose_reports_each_chain(self, tmp_path, capsys):
+        assert run_cli("experiment", "glass3d", "--trials", 2, "--im-moves", 20,
+                       "--max-lag", 3, "--workers", 1, "--verbose",
+                       "--out", tmp_path / "exp") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:4] == [
+            "finished im trial 0 (20 moves)",
+            "finished metropolis trial 0 (200 moves)",
+            "finished im trial 1 (20 moves)",
+            "finished metropolis trial 1 (200 moves)",
+        ]
+        assert lines[4].startswith("glass3d (desk): n=63")
 
     def test_short_run_caps_the_default_lag(self, tmp_path, capsys):
         # 5 recorded rows per chain: the longest lag that fits is 3

@@ -130,12 +130,13 @@ class TestFlip:
         rng = np.random.default_rng(13)
         model = random_model(rng, num_vars=10)
         bits = rng.integers(0, 2, size=10).tolist()
-        state = ShellState(model, bits, tuple(rng.integers(0, 2, size=10).tolist()))
+        reference = tuple(rng.integers(0, 2, size=10).tolist())
+        state = ShellState(model, bits, reference)
         for _ in range(500):
             state.flip(int(rng.integers(0, 10)))
         scratch = model.energy(state.bits)
         assert state.energy == pytest.approx(scratch, abs=1e-9 * (1 + abs(scratch)))
-        differs = [b != r for b, r in zip(state.bits, state.reference)]
+        differs = [b != r for b, r in zip(state.bits, reference)]
         assert state.disagree_indices() == [i for i in range(10) if differs[i]]
         assert state.agree_indices() == [i for i in range(10) if not differs[i]]
         assert state.distance == sum(differs)
@@ -214,7 +215,7 @@ class TestSideIndices:
         bits = [1.0, True, np.int64(1), np.uint8(0)]
         state = ShellState(grid2d(2), bits, np.array([0, 1, 0.0, False], dtype=object))
         assert state.bits == [1, 1, 1, 0]
-        assert state.reference == (0, 1, 0, 0)
+        assert state.disagree_spin == (1.0, -1.0, 1.0, 1.0)
         assert state.distance == 2
 
 

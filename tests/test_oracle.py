@@ -158,15 +158,6 @@ class TestExactImKernel:
             np.abs(result.matrix[off_diag] - counted[off_diag])
         ) <= 1e-12
 
-    def test_effective_and_marginal_accept_rates_differ(self):
-        params = SawParams(gamma=0.7, k_min=2, k_max=2)
-        result = exact_im_kernel(self.model, 0.7, params, self.constraint)
-        support = result.proposal > 0
-        gap = np.max(np.abs(
-            result.alpha_effective[support] - result.alpha_marginal[support]
-        ))
-        assert gap > 0.01
-
     def test_requires_fixed_length(self):
         with pytest.raises(ValueError):
             exact_im_kernel(self.model, 0.7,
@@ -190,6 +181,29 @@ class TestExactImKernel:
     def test_random_order_policy_kernel(self):
         params = SawParams(gamma=0.5, k_min=1, k_max=1, order_policy="random")
         result = exact_im_kernel(self.model, 0.5, params, self.constraint)
+        assert stationarity_gap(result) <= 1e-12
+        assert detailed_balance_gap(result) <= 1e-12
+
+
+# a chain whose couplings of 400 put single flips far past exp()'s range at
+# beta = gamma = 1, so every walk step's exponents are shifted
+STIFF_CHAIN = chain_model(6, coupling=400.0)
+
+
+class TestExtremeCouplings:
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_walk_kernel_balances(self, k):
+        params = SawParams(gamma=1.0, k_min=k, k_max=k, order_policy="random")
+        result = exact_im_kernel(STIFF_CHAIN, 1.0, params, ShellConstraint((0,) * 6, 3))
+        assert np.max(np.abs(result.matrix.sum(axis=1) - 1.0)) <= 1e-12
+        assert stationarity_gap(result) <= 1e-12
+        assert detailed_balance_gap(result) <= 1e-12
+
+    def test_metropolis_kernel_balances(self):
+        # a swap here can lower the energy by 3200, and math.exp(3200)
+        # overflows; the kernel must accept it without evaluating that
+        result = exact_metropolis_kernel(STIFF_CHAIN, 1.0, ShellConstraint((0,) * 6, 3))
+        assert np.max(np.abs(result.matrix.sum(axis=1) - 1.0)) <= 1e-12
         assert stationarity_gap(result) <= 1e-12
         assert detailed_balance_gap(result) <= 1e-12
 
@@ -255,6 +269,7 @@ class TestCheckPathwiseDb:
             assert gap <= 1e-10
 
     def test_symmetric_move(self):
+        # both sides come back as logs of the unnormalized flows
         model = IsingModel(4, [], [0.0] * 4)
         state = ShellState(model, [1, 1, 0, 0], (0,) * 4)
         rng = np.random.default_rng(0)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from shellwalk import IsingModel, ShellConstraint, ShellState
 from shellwalk.errors import CoherenceError, ConfigurationError
 from shellwalk.generators import cube3d_pm_j, grid2d, rbm_gabor
+from shellwalk.oracle import check_pathwise_db
 from shellwalk.samplers import ImConfig, ImSampler, random_shell_state
 from shellwalk.saw_proposal import (
     MAX_SAFE_EXPONENT,
@@ -423,7 +424,7 @@ def reference_candidates(engine, toward):
     the compact logits of that side and, when a flip could overflow exp(),
     their maximum as the shift."""
     state = engine.state
-    rho = 2.0 * np.array(state.reference, dtype=np.float64) - 1.0
+    rho = -np.array(state.disagree_spin, dtype=np.float64)
     fields = np.array(engine.model.fields, dtype=np.float64)
     logits = (engine.gamma * rho) * (engine._local + fields)
     idx = np.array(state.disagree_indices() if toward else state.agree_indices(),
@@ -495,6 +496,22 @@ class TestScanExactDoubles:
     @pytest.mark.parametrize("name", sorted(SHIFTED_SCAN_DIGESTS))
     def test_shifted_walks_are_pinned(self, name):
         assert shifted_scan_digest(name) == SHIFTED_SCAN_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", sorted(SHIFTED_MODELS))
+    def test_shifted_moves_keep_pathwise_balance(self, name):
+        # the oracle replays each move with path_log_prob, whose exponents
+        # need the same shift here, and keeps both sides in logs
+        model, reference = SHIFTED_MODELS[name]()
+        rng = np.random.default_rng(11)
+        state = random_shell_state(model, ShellConstraint(reference, 8), rng)
+        params = SawParams(gamma=1.0, k_min=1, k_max=3, order_policy="random")
+        for _ in range(2000):
+            move = propose(model, state, params, rng, engine="scan")
+            _, _, gap = check_pathwise_db(model, 1.0, move, state)
+            assert gap <= 1e-10
+            log_alpha = state.energy - move.proposed.energy + move.log_rev - move.log_fwd
+            if math.log(rng.random()) < log_alpha:
+                state = move.proposed
 
 
 def dyadic_grid():
