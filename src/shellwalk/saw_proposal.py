@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -408,22 +409,54 @@ class TreeWalkEngine:
         return math.log(w) - math.log(total)
 
 
+def draw_index(weights, u):
+    """The index of ``weights`` that the uniform ``u`` draws, by inverse
+    cumulative sums in index order, and the log of their total.
+
+    A weight of 0.0 adds exactly 0.0 to every later partial sum, so zeroed
+    entries (a masked-out side, an underflowed weight) leave the partial sums
+    of the others, the total and the drawn entry as their compacted vector
+    would give. A draw at the total, or just below it after rounding, falls
+    back to the last positive weight. A zero total raises ``ValueError``.
+    """
+    cumulative = weights.cumsum()
+    total = cumulative.item(-1)
+    pos = min(int(cumulative.searchsorted(u * total, side="right")), weights.size - 1)
+    while weights.item(pos) <= 0.0 and pos > 0:
+        pos -= 1
+    return pos, math.log(total)
+
+
+def log_total(weights):
+    """The log of the pairwise sum ``np.add.reduce`` of compacted weights."""
+    return math.log(np.add.reduce(weights))
+
+
 class ScanWalkEngine:
     """Per-step candidate scan for dense models or extreme exponents.
 
-    Keeps the local fields as a vector and one per-bit copy of the state's
-    partition, ``side``: +1.0 for a disagreeing bit (a toward candidate),
-    -1.0 for an agreeing one. Spins are read from the bound state; ``flip``
-    also flips it. ``walk`` loops over these single steps. Per state, the
-    first ``sample`` or ``log_prob`` computes every bit's logit as a
-    candidate of its own side,
+    Keeps the local fields as a vector, each bit's neighbours and 2 * J_ij,
+    and three per-bit copies of the state's partition, which ``sync`` and
+    ``restore`` set from the state and ``flip`` keeps current: ``side``,
+    +1.0 for a disagreeing bit (a toward candidate) and -1.0 for an
+    agreeing one, which signs the logits, and the boolean masks
+    ``_masks[toward]`` (``side > 0``, ``side < 0`` for away), which select
+    a side's candidates in ascending bit order. Spins are read from the
+    bound state; ``flip``, the one flip rule, also flips it and adds the
+    bit's 2 * J row to its neighbours' fields.
+
+    Per state, every bit's logit as a candidate of its own side is
     ``z = side * (gamma * rho * (local + fields))`` with the reference's
-    spin ``rho = -state.disagree_spin``, in O(M), and when no flip can push
-    exp() near overflow, its weights ``w = exp(z)`` in the same pass: one
-    exp per state, shared by the next step's draw and the reverse-factor
-    lookup just before it. Both are cached until the next flip, restore or
-    resync. ``MetropolisSampler`` binds one at gamma 0 on a dense model for
-    its local fields alone and computes no logits.
+    spin ``rho = -state.disagree_spin``, and when no flip can push exp()
+    near overflow, its weights ``w = exp(z)``: one exp per state, cached
+    until the next flip, restore or resync. A draw reads the source side's
+    weights as ``w * mask`` (``draw_index``); a reverse factor sums the
+    target side's compacted weights (``log_total``). ``walk``, ``sample``
+    and ``log_prob`` share these rules. Where a flip could overflow exp(),
+    each step shifts its side's compacted logits by their maximum, and
+    ``walk`` loops over ``sample``, ``flip`` and ``log_prob``.
+    ``MetropolisSampler`` binds one at gamma 0 on a dense model for its
+    local fields alone and computes no logits.
     """
 
     def __init__(self, model: IsingModel, state: ShellState, gamma: float):
@@ -431,10 +464,15 @@ class ScanWalkEngine:
         self.state = state
         self.gamma = gamma
         self.evals = 0
-        self._nbr_idx = [np.array([j for j, _ in row], dtype=np.intp)
-                         for row in model.adjacency]
-        self._nbr_coup = [np.array([c for _, c in row], dtype=np.float64)
-                          for row in model.adjacency]
+        # each bit's neighbours and 2 * J_ij, read off its (j, J_ij) pairs
+        first, second = itemgetter(0), itemgetter(1)
+        self._nbr_idx = []
+        self._two_j = []
+        for row in model.adjacency:
+            self._nbr_idx.append(np.fromiter(map(first, row), np.intp, len(row)))
+            two_j = np.fromiter(map(second, row), np.float64, len(row))
+            two_j += two_j
+            self._two_j.append(two_j)
         self._fields = np.array(model.fields, dtype=np.float64)
         # gamma * rho; every factor is +/-gamma exactly
         self._gamma_rho = -gamma * np.array(state.disagree_spin)
@@ -444,26 +482,45 @@ class ScanWalkEngine:
         self.sync()
 
     def sync(self):
-        """Rebuild local fields and the side vector from the bound state,
-        checking the old fields as ``TreeWalkEngine.sync`` does."""
+        """Rebuild local fields, the side vector and the masks from the
+        bound state, checking the old fields as ``TreeWalkEngine.sync`` does."""
         state = self.state
         spins = np.array(state.spins, dtype=np.float64)
         num = self.model.num_vars
         local = np.zeros(num, dtype=np.float64)
         for i in range(num):
-            local[i] = float(self._nbr_coup[i] @ spins[self._nbr_idx[i]])
+            # halving is exact: the dot product's every term and partial sum
+            # is twice the one over the couplings themselves
+            local[i] = 0.5 * float(self._two_j[i] @ spins[self._nbr_idx[i]])
         check_local_fields(state, self._local, local)
         self._local = local
-        self._side = spins * state.disagree_spin
+        self._set_side(spins * state.disagree_spin)
+
+    def _set_side(self, side):
+        """Take ``side`` as the side vector and derive both masks from it."""
+        self._side = side
+        self._masks = (side < 0.0, side > 0.0)
         self._z = None
 
     def flip(self, i):
-        """Flip bit ``i`` of the bound state and its neighbors' local fields."""
+        """Flip bit ``i`` of the bound state, its neighbours' local fields,
+        its side and both masks."""
         state = self.state
+        local = self._local
         s = state.spins[i]
-        state.flip(i, 2.0 * s * (self._local.item(i) + self._fields.item(i)))
-        self._local[self._nbr_idx[i]] += -2.0 * s * self._nbr_coup[i]
-        self._side[i] = -self._side.item(i)
+        state.flip(i, 2.0 * s * (local.item(i) + self._fields.item(i)))
+        # each neighbour's field changes by -2 * s * J_ij
+        if s > 0.0:
+            local[self._nbr_idx[i]] -= self._two_j[i]
+        else:
+            local[self._nbr_idx[i]] += self._two_j[i]
+        side = self._side
+        # an agreeing bit starts to disagree: a toward candidate
+        toward = side.item(i) < 0.0
+        side[i] = 1.0 if toward else -1.0
+        away_mask, toward_mask = self._masks
+        away_mask[i] = not toward
+        toward_mask[i] = toward
         self._z = None
         if state._flips % RESYNC_INTERVAL == 0:
             self.sync()
@@ -473,63 +530,94 @@ class ScanWalkEngine:
         return (self.state.checkpoint(), self._local.copy(), self._side.copy())
 
     def restore(self, saved):
-        """Return to a ``checkpoint`` as ``TreeWalkEngine.restore`` does."""
-        state, self._local, self._side = saved
+        """Return to a ``checkpoint`` as ``TreeWalkEngine.restore`` does; the
+        masks are derived from the restored side vector."""
+        state, self._local, side = saved
         self.state.restore(state)
-        self._z = None
+        self._set_side(side)
 
     def walk(self, toward, uniforms, log_fwd, log_rev):
-        """One walk, a step per uniform, through ``sample``, ``flip`` and
-        ``log_prob``; returns the picked bits and the running logs."""
+        """Walk one step per uniform; returns the picked bits, and ``log_fwd``
+        and ``log_rev`` with each step's log probabilities added.
+
+        Without the exponent shift, one frame: each visited state's logits
+        and weights are computed once, the draw reads the source side through
+        its mask and the reverse factor sums the target side, as ``sample``
+        and ``log_prob`` do; each step scans M + 1 candidates, the source
+        side before the flip and the target side after it."""
+        if self._may_overflow:
+            picks = []
+            for u in uniforms:
+                i, log_p = self.sample(toward, u)
+                log_fwd += log_p
+                self.flip(i)
+                log_rev += self.log_prob(not toward, i)
+                picks.append(i)
+            return picks, log_fwd, log_rev
+        size = self._side_size(toward)
         picks = []
         for u in uniforms:
-            i, log_p = self.sample(toward, u)
-            log_fwd += log_p
+            if size == 0:
+                raise ValueError("candidate set is empty")
+            z = self._logits()  # cached by the last step's reverse factor
+            i, log_norm = draw_index(self._w * self._masks[toward], u)
+            log_fwd += z.item(i) - log_norm
             self.flip(i)
-            log_rev += self.log_prob(not toward, i)
+            z = self._logits()
+            log_rev += z.item(i) - log_total(self._w[self._masks[not toward]])
             picks.append(i)
+            size -= 1
+        self.evals += (self.model.num_vars + 1) * len(picks)
         return picks, log_fwd, log_rev
 
-    def _weights(self, toward):
-        """One side's candidates, ascending, every bit's logit, and the
-        side's exponent shift and candidate weights.
+    def _side_size(self, toward):
+        """How many bits are ``toward`` candidates, read off the state."""
+        distance = self.state.distance
+        return distance if toward else self.model.num_vars - distance
 
-        A bit's logit is -gamma * deltaE / 2 as a candidate of its own side;
-        multiplying by ``side`` negates an agreeing bit's toward logit
-        exactly. exp works element by element, so ``_w[idx]`` holds the
-        doubles of ``exp(z[idx])``, and ``exp(z - 0.0)`` those of ``exp(z)``.
-        """
+    def _logits(self):
+        """Every bit's logit as a candidate of its own side, and without the
+        shift its weight, for the bound state; cached until the next flip,
+        restore or resync.
+
+        Multiplying by ``side`` negates an agreeing bit's toward logit
+        exactly, and exp works element by element, so a side's compacted
+        weights are the doubles of ``exp`` of its compacted logits."""
         z = self._z
         if z is None:
             z = self._z = self._side * (self._gamma_rho * (self._local + self._fields))
             if not self._may_overflow:
                 self._w = np.exp(z)
-        idx = ((self._side > 0.0) if toward else (self._side < 0.0)).nonzero()[0]
-        self.evals += idx.size
-        if not self._may_overflow:
-            return idx, z, 0.0, self._w[idx]
-        compact = z[idx]
-        shift = compact.max().item() if idx.size else 0.0
-        return idx, z, shift, np.exp(compact - shift)
+        return z
 
     def sample(self, toward, u):
-        idx, z, shift, weights = self._weights(toward)
-        if idx.size == 0:
+        size = self._side_size(toward)
+        if size == 0:
             raise ValueError("candidate set is empty")
-        cumulative = weights.cumsum()
-        total = cumulative.item(-1)
-        pos = min(int(cumulative.searchsorted(u * total, side="right")),
-                  idx.size - 1)
-        while weights.item(pos) <= 0.0 and pos > 0:
-            pos -= 1
+        self.evals += size
+        z = self._logits()
+        mask = self._masks[toward]
+        if not self._may_overflow:
+            i, log_norm = draw_index(self._w * mask, u)
+            return i, z.item(i) - log_norm
+        idx = mask.nonzero()[0]
+        compact = z[idx]
+        shift = compact.max().item()
+        pos, log_norm = draw_index(np.exp(compact - shift), u)
         i = idx.item(pos)
-        return i, (z.item(i) - shift) - math.log(total)
+        return i, (z.item(i) - shift) - log_norm
 
     def log_prob(self, toward, i):
-        if (self._side.item(i) > 0.0) != toward:
+        mask = self._masks[toward]
+        if not mask.item(i):
             return NEG_INF
-        _, z, shift, weights = self._weights(toward)
-        return (z.item(i) - shift) - math.log(np.add.reduce(weights).item())
+        self.evals += self._side_size(toward)
+        z = self._logits()
+        if not self._may_overflow:
+            return z.item(i) - log_total(self._w[mask])
+        compact = z[mask]
+        shift = compact.max().item()
+        return (z.item(i) - shift) - log_total(np.exp(compact - shift))
 
 
 def draw_move_shape(params, draws, distance, num_vars):

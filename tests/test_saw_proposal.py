@@ -520,10 +520,28 @@ def dyadic_grid():
     return grid2d(4, 0.375, 0.125)
 
 
+def scan_vectors(engine):
+    """Every per-bit vector a scan engine keeps, as exactly comparable lists:
+    local fields, side vector, both masks, both neighbour row sets, and the
+    logits, with the weights unless shifted, while a state's are cached."""
+    parts = [engine._local.tolist(), engine._side.tolist(),
+             [mask.tolist() for mask in engine._masks],
+             [row.tolist() for row in engine._nbr_idx],
+             [row.tolist() for row in engine._two_j]]
+    if engine._z is not None:
+        parts.append(engine._z.tolist())
+        if not engine._may_overflow:
+            parts.append(engine._w.tolist())
+    return parts
+
+
 def assert_scan_matches_fresh(engine):
-    """The next sample and every log_prob equal a fresh engine's on a copy."""
+    """Every kept vector, the next sample and every log_prob equal a fresh
+    engine's on a copy."""
     fresh = ScanWalkEngine(engine.model, engine.state.copy(), engine.gamma)
-    assert engine._local.tolist() == fresh._local.tolist()
+    if engine._z is not None:
+        fresh._logits()
+    assert scan_vectors(engine) == scan_vectors(fresh)
     num, distance = engine.model.num_vars, engine.state.distance
     for toward in (True, False):
         if (distance if toward else num - distance):
@@ -725,10 +743,11 @@ class TestFusedFlip:
 
 def stepped_walks(engine, uniforms, k, order):
     """``run_walks`` as a loop of per-step ``sample``, ``flip`` and
-    ``log_prob`` calls. ``flip`` runs a step of ``walk``'s own loop, so
-    this checks ``sample`` and ``log_prob`` against the walk; the
-    independent oracle for the flip arithmetic is
-    ``assert_trees_are_exact``, a fresh ``WeightedIndexTree`` build."""
+    ``log_prob`` calls. Each engine's ``walk`` and these share its flip,
+    draw and reverse rules, so this checks the walk's frame; the
+    independent oracles for the rules are ``assert_trees_are_exact``, a
+    fresh ``WeightedIndexTree`` build, and ``TestScanExactDoubles``, the
+    per-side formula."""
     uniforms = iter(uniforms)
     first_toward = order == ORDER_UP_DOWN
     picks = []
@@ -743,20 +762,23 @@ def stepped_walks(engine, uniforms, k, order):
 
 
 def assert_twins_equal(fused, stepped):
-    assert fused._toward._nodes == stepped._toward._nodes
-    assert fused._away._nodes == stepped._away._nodes
-    assert fused._local == stepped._local
+    if isinstance(fused, TreeWalkEngine):
+        assert fused._toward._nodes == stepped._toward._nodes
+        assert fused._away._nodes == stepped._away._nodes
+        assert fused._local == stepped._local
+    else:
+        assert scan_vectors(fused) == scan_vectors(stepped)
     assert fused.state.spins == stepped.state.spins
     assert (fused.state.energy, fused.state.distance, fused.evals) == \
         (stepped.state.energy, stepped.state.distance, stepped.evals)
 
 
-def walk_twins(model, n, seed, audit=False):
+def walk_twins(model, n, seed, audit=False, engine_class=TreeWalkEngine, gamma=0.8):
     rng = np.random.default_rng(seed)
     state = random_shell_state(model, ShellConstraint((0,) * model.num_vars, n), rng,
                                audit=audit)
-    return (TreeWalkEngine(model, state, 0.8),
-            TreeWalkEngine(model, state.copy(), 0.8))
+    return (engine_class(model, state, gamma),
+            engine_class(model, state.copy(), gamma))
 
 
 def assert_walks_match(fused, stepped, k, order, seed):
@@ -802,6 +824,67 @@ class TestFusedWalk:
             run_walks(fused, np.random.default_rng(0), 3, ORDER_UP_DOWN)
         assert str(walked.value) == str(per_step.value)
         assert (fused.state.spins, fused.state._flips) == (spins, 0)
+
+
+SCAN_WALK_MODELS = {
+    "rbm-desk": lambda: rbm_gabor(64, 32, seed=4),
+    "dyadic-grid": dyadic_grid,
+}
+
+
+class TestScanFusedWalk:
+    """``ScanWalkEngine.walk`` in one frame equals the per-step loop on a
+    twin: picks, log doubles, evals, state and every kept vector."""
+
+    @pytest.mark.parametrize("order", [ORDER_UP_DOWN, ORDER_DOWN_UP])
+    @pytest.mark.parametrize("name", sorted(SCAN_WALK_MODELS))
+    def test_walks_equal_the_step_loop(self, name, order):
+        model = SCAN_WALK_MODELS[name]()
+        fused, stepped = walk_twins(model, model.num_vars // 3, 41,
+                                    engine_class=ScanWalkEngine)
+        assert not fused._may_overflow
+        limit = feasible_k_max(fused.state.distance, model.num_vars, order)
+        for k in range(1, limit + 1):
+            assert_walks_match(fused, stepped, k, order, seed=100 + k)
+
+    @pytest.mark.parametrize("order", [ORDER_UP_DOWN, ORDER_DOWN_UP])
+    def test_audited_walk_across_a_resync(self, order, monkeypatch):
+        fused, stepped = walk_twins(SCAN_WALK_MODELS["rbm-desk"](), 32, 43, audit=True,
+                                    engine_class=ScanWalkEngine)
+        for engine in (fused, stepped):
+            engine.state._flips = RESYNC_INTERVAL - 3
+        synced = []
+        sync = ScanWalkEngine.sync
+        monkeypatch.setattr(ScanWalkEngine, "sync",
+                            lambda engine: (synced.append(engine), sync(engine)))
+        # the rebuild falls on the third flip of the first walk
+        assert_walks_match(fused, stepped, 6, order, seed=7)
+        assert fused.state._flips == RESYNC_INTERVAL + 9
+        assert synced == [fused, stepped]
+
+    @pytest.mark.parametrize("name", sorted(SHIFTED_MODELS))
+    def test_shifted_walks_take_the_step_loop(self, name):
+        model, _ = SHIFTED_MODELS[name]()
+        fused, stepped = walk_twins(model, 8, 37, engine_class=ScanWalkEngine, gamma=1.0)
+        assert fused._may_overflow
+        for order in (ORDER_UP_DOWN, ORDER_DOWN_UP):
+            for k in range(1, 9):
+                assert_walks_match(fused, stepped, k, order, seed=200 + k)
+
+    @pytest.mark.parametrize("order", [ORDER_UP_DOWN, ORDER_DOWN_UP])
+    def test_empty_source_side_raises_before_a_flip(self, order):
+        model = dyadic_grid()
+        # no bit disagrees for a toward walk, none agrees for an away walk
+        fused, stepped = walk_twins(model, 0 if order == ORDER_UP_DOWN else 16, 5,
+                                    engine_class=ScanWalkEngine)
+        with pytest.raises(ValueError) as per_step:
+            stepped.sample(order == ORDER_UP_DOWN, 0.5)
+        spins = list(fused.state.spins)
+        with pytest.raises(ValueError) as walked:
+            run_walks(fused, np.random.default_rng(0), 3, order)
+        assert str(walked.value) == str(per_step.value) == "candidate set is empty"
+        assert (fused.state.spins, fused.state._flips, fused.evals) == (spins, 0, 0)
+        assert_twins_equal(fused, stepped)
 
 
 def draws_of_one_move(rng, params, k, step):
