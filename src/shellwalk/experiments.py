@@ -195,10 +195,19 @@ def chain_specs(config: ExperimentConfig):
     return specs
 
 
+# a pool worker's last preset model, as ((generator, arguments), model)
+_worker_model = (None, None)
+
+
 def run_trial(config: ExperimentConfig, spec: ChainSpec):
-    """Run one chain of ``config`` in a pool worker, which rebuilds the model
-    from the preset; that costs less than pickling and parsing its document."""
-    return spec.run(build_model(config))
+    """Run one chain of ``config`` in a pool worker. The worker builds the
+    preset's model, which costs less than pickling and parsing its document,
+    for its first chain and reuses it for later chains of the same preset."""
+    global _worker_model
+    key = (config.generator, dict(config.generator_args))
+    if _worker_model[0] != key:
+        _worker_model = (key, build_model(config))
+    return spec.run(_worker_model[1])
 
 
 def _first_drop_lag(curve: analysis.AcfCurve):

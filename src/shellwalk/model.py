@@ -56,6 +56,7 @@ class IsingModel:
         "fields",
         "adjacency",
         "meta",
+        "_max_flip_delta",
     )
 
     def __init__(self, num_vars, edges, fields=None, meta=None):
@@ -102,6 +103,7 @@ class IsingModel:
         self.adjacency = tuple(tuple(row) for row in adj)
 
         self.meta = dict(meta) if meta else {}
+        self._max_flip_delta = None
 
     @property
     def num_edges(self):
@@ -114,13 +116,16 @@ class IsingModel:
         return 2.0 * len(self.edges) / self.num_vars
 
     def max_flip_delta(self):
-        """Upper bound on |delta E| over all single-bit flips and states."""
-        best = 0.0
-        for i in range(self.num_vars):
-            scale = 2.0 * (sum(abs(c) for _, c in self.adjacency[i]) + abs(self.fields[i]))
-            if scale > best:
-                best = scale
-        return best
+        """Upper bound on |delta E| over all single-bit flips and states;
+        the first call scans the adjacency, later ones return its result."""
+        if self._max_flip_delta is None:
+            best = 0.0
+            for i in range(self.num_vars):
+                scale = 2.0 * (sum(abs(c) for _, c in self.adjacency[i]) + abs(self.fields[i]))
+                if scale > best:
+                    best = scale
+            self._max_flip_delta = best
+        return self._max_flip_delta
 
     def energy(self, bits):
         """Full energy of a {0,1} configuration.

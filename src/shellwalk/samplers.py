@@ -183,16 +183,23 @@ class MetropolisSampler:
     fields, and J_ij by bisection in bit i's ascending adjacency row; an
     accepted swap is two engine flips. It never calls ``sample`` or
     ``log_prob``, so the engine computes no logits. On a sparse model the
-    sampler sums both bits' neighbours, and an accepted swap hands each
-    bit's energy change to ``ShellState.flip``, except the second bit's
-    when the two are neighbors, since the first flip changes its field.
+    sampler keeps each bit's field sum ``fields[i] + sum_j J_ij * s_j`` as
+    the last swap that read it computed it, and recomputes it only once an
+    accepted swap has flipped a neighbour and marked it stale; a bit's own
+    flip leaves its sum alone, as the model has no self-couplings. J_ij
+    comes from bit i's ``{j: J_ij}`` dict, built when bit i is first
+    picked. An accepted swap hands each bit's energy change to
+    ``ShellState.flip``, except the second bit's when the two are
+    neighbors, since the first flip changes its field. An audited state has
+    every sum a swap reads compared with a fresh one, exactly.
 
     The picks index the sampler's own slot order, a permutation of the bits
     with the ``distance`` disagreeing ones first, built ascending on each
     side from the state at construction. An accepted swap moves the
     disagreeing bit to the last disagreeing slot, then the agreeing bit into
     that slot and the first bit into the agreeing bit's old slot. The
-    sampler must be the only one to flip its state.
+    sampler must be the only one to flip its state: its sums and the
+    state's spins are kept together.
     """
 
     def __init__(self, model: IsingModel, state: ShellState,
@@ -212,6 +219,9 @@ class MetropolisSampler:
         self._slots = state.disagree_indices() + state.agree_indices()
         # a swap exponentiates only its own deltaE: no overflow rule, gamma 0
         self._engine = ScanWalkEngine(model, state, 0.0) if is_dense(model) else None
+        # sparse path: field sums (None when stale) and coupling dicts by bit
+        self._sums = [None] * model.num_vars
+        self._rows = [None] * model.num_vars
         self.accepts = 0
         self.evals = 0
 
@@ -230,17 +240,29 @@ class MetropolisSampler:
         spins = state.spins
         fields = model.fields
         if engine is None:
-            acc_i = fields[i]
-            coupling_ij = 0.0
-            adjacent = False
-            for nb, coupling in model.adjacency[i]:
-                acc_i += coupling * spins[nb]
-                if nb == j:
-                    coupling_ij = coupling
-                    adjacent = True
-            acc_j = fields[j]
-            for nb, coupling in model.adjacency[j]:
-                acc_j += coupling * spins[nb]
+            # ShellState.delta_energy's sum: field first, then adjacency order
+            sums = self._sums
+            acc_i = sums[i]
+            if acc_i is None:
+                acc_i = fields[i]
+                for nb, coupling in model.adjacency[i]:
+                    acc_i += coupling * spins[nb]
+                sums[i] = acc_i
+            acc_j = sums[j]
+            if acc_j is None:
+                acc_j = fields[j]
+                for nb, coupling in model.adjacency[j]:
+                    acc_j += coupling * spins[nb]
+                sums[j] = acc_j
+            if state.audit:
+                for bit in (i, j):
+                    # doubling keeps the comparison of the two sums exact
+                    if 2.0 * spins[bit] * sums[bit] != state.delta_energy(bit):
+                        raise CoherenceError(f"cached field sum of bit {bit} is stale")
+            row = self._rows[i]
+            if row is None:
+                row = self._rows[i] = dict(model.adjacency[i])
+            coupling_ij = row.get(j, 0.0)
         else:
             # a resync replaces the engine's vector
             local = engine._local
@@ -260,7 +282,11 @@ class MetropolisSampler:
         if accepted:
             if engine is None:
                 state.flip(i, delta_i)
-                state.flip(j, None if adjacent else delta_j)
+                state.flip(j, None if j in row else delta_j)
+                for nb in row:
+                    sums[nb] = None
+                for nb, _ in model.adjacency[j]:
+                    sums[nb] = None
             else:
                 engine.flip(i)
                 engine.flip(j)

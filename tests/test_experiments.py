@@ -7,7 +7,13 @@ import pytest
 
 from shellwalk import experiments
 from shellwalk.errors import ConfigurationError
-from shellwalk.experiments import build_model, preset_config, run_experiment
+from shellwalk.experiments import (
+    build_model,
+    chain_specs,
+    preset_config,
+    run_experiment,
+    run_trial,
+)
 
 
 class TestPresetConfig:
@@ -288,6 +294,27 @@ class TestRunExperiment:
         run_experiment("glass3d", out_dir=tmp_path / "out", workers=1,
                        trials=2, seed=3, im_moves=40, max_lag=10)
         assert len(calls) == 1
+
+    def test_pool_worker_builds_each_preset_model_once(self, monkeypatch):
+        calls = []
+
+        def counted(config):
+            calls.append(config)
+            return build_model(config)
+
+        monkeypatch.setattr(experiments, "build_model", counted)
+        monkeypatch.setattr(experiments, "_worker_model", (None, None))
+        config = preset_config("glass3d", "desk", trials=1, seed=3,
+                               im_moves=40, max_lag=10)
+        model = build_model(config)
+        for spec in chain_specs(config):
+            record = run_trial(config, spec)
+            assert np.array_equal(record.energies, spec.run(model).energies)
+        assert len(calls) == 1
+        other = preset_config("glass3d", "desk", trials=1, seed=4,
+                              im_moves=40, max_lag=10)
+        run_trial(other, chain_specs(other)[1])
+        assert len(calls) == 2
 
     def test_metropolis_gets_fair_ratio_moves(self, tmp_path):
         summary = run_experiment(

@@ -277,6 +277,25 @@ class TestModelValidation:
                 assert neighbours == sorted(set(neighbours))
 
 
+class TestFlipBound:
+    class RefusedRows:
+        def __getitem__(self, i):
+            raise AssertionError("adjacency read again")
+
+        def __iter__(self):
+            raise AssertionError("adjacency read again")
+
+    def test_computed_once_per_model(self):
+        model = IsingModel(4, [(0, 1, 1.5), (1, 2, -2.0), (2, 3, 0.25)],
+                           [0.5, -3.0, 0.0, 1.0])
+        expected = max(2.0 * (sum(abs(c) for _, c in row) + abs(h))
+                       for row, h in zip(model.adjacency, model.fields))
+        assert expected == 13.0  # bit 1: 2 * (1.5 + 2.0 + 3.0)
+        assert model.max_flip_delta() == expected
+        model.adjacency = self.RefusedRows()
+        assert model.max_flip_delta() == expected
+
+
 class TestShellConstraint:
     def test_distance_bounds(self):
         ShellConstraint((0, 1, 0), 3)

@@ -21,7 +21,7 @@ from shellwalk import (
 from shellwalk.analysis import load_trace
 from shellwalk.errors import CoherenceError, ConfigurationError
 from shellwalk.generators import cube3d_pm_j, grid2d, rbm_gabor
-from shellwalk.model import COHERENCE_RTOL
+from shellwalk.model import COHERENCE_RTOL, ENERGY_REFRESH_INTERVAL
 from shellwalk.oracle import check_pathwise_db
 from shellwalk.samplers import BitDraws
 from shellwalk.saw_proposal import (
@@ -293,6 +293,24 @@ class TestMetropolisSampler:
         assert sorted(slots[:state.distance]) == state.disagree_indices()
         assert sorted(slots) == list(range(16))
 
+    def test_audit_catches_a_wrong_cached_sum(self):
+        # one ulp off is far inside COHERENCE_RTOL: the check is exact
+        model = grid2d(4, 0.37, 0.11)
+        rng = chain_rng(9)
+        state = random_shell_state(model, ShellConstraint((0,) * 16, 6), rng,
+                                   audit=True)
+        sampler = MetropolisSampler(model, state, MetropolisConfig(beta=0.5), rng=rng)
+        while True:
+            sampler.step()
+            # the next swap's disagreeing bit, drawn from a copy of the stream
+            pick = copy.deepcopy(rng).integers(0, sampler.shell_distance)
+            bit = sampler._slots[int(pick)]
+            if sampler._sums[bit] is not None:
+                break
+        sampler._sums[bit] = math.nextafter(sampler._sums[bit], math.inf)
+        with pytest.raises(CoherenceError, match=f"field sum of bit {bit} "):
+            sampler.step()
+
     def test_empty_side_rejected(self):
         model = free_model(4)
         rng = chain_rng(0)
@@ -494,6 +512,25 @@ class TestSwapsMatchParent:
             accepted_total += outcome[0]
             assert sampler.evals == 2 * swap
         assert 0 < accepted_total < 2000
+        assert sampler._slots == parent.slots
+        assert_same_stream(rng, twin_rng)
+
+    def test_cached_sums_cross_an_energy_refresh(self):
+        # float couplings and field: a sum cached across a neighbour's flip,
+        # or one updated by +-2J, would show in the last bits of an energy
+        model, reference, n, beta = SWAP_MODELS["grid4"]()
+        rng = chain_rng(32)
+        state = random_shell_state(model, ShellConstraint(reference, n), rng)
+        twin_rng = copy.deepcopy(rng)
+        twin = state.copy()
+        sampler = MetropolisSampler(model, state, MetropolisConfig(beta=beta), rng=rng)
+        parent = ParentMetropolis(model, twin, beta, twin_rng)
+        for swap in range(1, 12_001):
+            assert sampler.step() == parent.step()
+            assert state.energy == twin.energy
+            assert state.spins == twin.spins
+        assert state._flips > ENERGY_REFRESH_INTERVAL
+        assert sampler.evals == 2 * swap
         assert sampler._slots == parent.slots
         assert_same_stream(rng, twin_rng)
 
