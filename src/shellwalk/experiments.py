@@ -195,16 +195,20 @@ def chain_specs(config: ExperimentConfig):
     return specs
 
 
-# a pool worker's last preset model, as ((generator, arguments), model)
+# a pool worker's last preset model, as (_model_key(config), model)
 _worker_model = (None, None)
 
 
+def _model_key(config: ExperimentConfig):
+    return (config.generator, dict(config.generator_args))
+
+
 def run_trial(config: ExperimentConfig, spec: ChainSpec):
-    """Run one chain of ``config`` in a pool worker. The worker builds the
-    preset's model, which costs less than pickling and parsing its document,
-    for its first chain and reuses it for later chains of the same preset."""
+    """Run one chain of ``config`` in a pool worker, on the model a forked
+    worker inherits, or else on one it builds (cheaper than pickling and
+    parsing the document) for its first chain of the preset and reuses."""
     global _worker_model
-    key = (config.generator, dict(config.generator_args))
+    key = _model_key(config)
     if _worker_model[0] != key:
         _worker_model = (key, build_model(config))
     return spec.run(_worker_model[1])
@@ -239,6 +243,7 @@ def run_config(config: ExperimentConfig, out_dir=".", workers=1,
     """Run the two-sampler comparison that ``config`` resolves; returns the
     summary dict and writes the same files as ``run_experiment``.
     """
+    global _worker_model
     os.makedirs(out_dir, exist_ok=True)
     model = build_model(config)
     save_model(model, os.path.join(out_dir, MODEL_FILE))
@@ -250,6 +255,8 @@ def run_config(config: ExperimentConfig, out_dir=".", workers=1,
     with ExitStack() as stack:
         results = (spec.run(model) for spec in specs)
         if workers > 1:
+            # forked workers inherit the model with the module
+            _worker_model = (_model_key(config), model)
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             results = pool.map(partial(run_trial, config), specs)
         for spec, record in zip(specs, results):
@@ -261,6 +268,7 @@ def run_config(config: ExperimentConfig, out_dir=".", workers=1,
                              "params": {"sampler": spec.sampler, "trial": spec.trial,
                                         "moves": spec.moves, "stride": spec.stride}})
             chains[spec.sampler].append((spec, record))
+    _worker_model = (None, None)  # held only for the forked workers
 
     # both samplers' samples cost the same, so one lag = one recorded sample
     groups = {sampler: ([analysis.EnergyTrace(record.energies, {

@@ -40,9 +40,9 @@ ORDER_POLICIES = (ORDER_UP_DOWN, ORDER_DOWN_UP, "random")
 
 NEG_INF = float("-inf")
 
-# Exponents beyond this magnitude are shifted by the per-step maximum before
-# exponentiation (scan engine), or force the scan engine outright (the tree
-# stores raw exponentials and cannot shift per step).
+# Exponents beyond this magnitude are shifted by their side's largest logit
+# before exponentiation (scan engine), or force the scan engine outright
+# (the tree stores raw exponentials and cannot shift them).
 MAX_SAFE_EXPONENT = 500.0
 
 DENSE_DEGREE_FRACTION = 0.25
@@ -198,7 +198,7 @@ def choose_engine_kind(model, gamma, kind="auto"):
     The sum-tree engine wins for sparse models; a dense model (``is_dense``)
     is cheaper to rescan per step. Models whose worst-case |gamma * deltaE|
     could overflow exp() also fall back to the scanning engine, which shifts
-    exponents per step.
+    each side's exponents by their maximum.
     """
     if kind in ("tree", "scan"):
         return kind
@@ -447,16 +447,16 @@ class ScanWalkEngine:
 
     Per state, every bit's logit as a candidate of its own side is
     ``z = side * (gamma * rho * (local + fields))`` with the reference's
-    spin ``rho = -state.disagree_spin``, and when no flip can push exp()
-    near overflow, its weights ``w = exp(z)``: one exp per state, cached
-    until the next flip, restore or resync. A draw reads the source side's
-    weights as ``w * mask`` (``draw_index``); a reverse factor sums the
-    target side's compacted weights (``log_total``). ``walk``, ``sample``
-    and ``log_prob`` share these rules. Where a flip could overflow exp(),
-    each step shifts its side's compacted logits by their maximum, and
-    ``walk`` loops over ``sample``, ``flip`` and ``log_prob``.
-    ``MetropolisSampler`` binds one at gamma 0 on a dense model for its
-    local fields alone and computes no logits.
+    spin ``rho = -state.disagree_spin``. ``_weights``, the one weights rule
+    of ``walk``, ``sample`` and ``log_prob``, gives a side's shift and
+    weights ``w = exp(z - shift)``: when no flip can push exp() near
+    overflow, the shift is 0.0 and ``exp(z)`` is one exp per state, cached
+    until the next flip, restore or resync; otherwise the shift is the
+    side's largest logit. A draw reads the source side's weights as
+    ``w * mask`` (``draw_index``); a reverse factor sums the target side's
+    compacted weights (``log_total``); each adds ``(z[i] - shift)`` minus
+    the log of its total. ``MetropolisSampler`` binds one at gamma 0 on a
+    dense model for its local fields alone and computes no logits.
     """
 
     def __init__(self, model: IsingModel, state: ShellState, gamma: float):
@@ -476,9 +476,9 @@ class ScanWalkEngine:
         self._fields = np.array(model.fields, dtype=np.float64)
         # gamma * rho; every factor is +/-gamma exactly
         self._gamma_rho = -gamma * np.array(state.disagree_spin)
-        # skip the per-step shift when no flip can push exp() near overflow
+        # exp(z) is cached as _w unless a flip could push exp() near overflow
         self._may_overflow = may_overflow(model, gamma)
-        self._local = None
+        self._local = self._w = None
         self.sync()
 
     def sync(self):
@@ -538,33 +538,20 @@ class ScanWalkEngine:
 
     def walk(self, toward, uniforms, log_fwd, log_rev):
         """Walk one step per uniform; returns the picked bits, and ``log_fwd``
-        and ``log_rev`` with each step's log probabilities added.
-
-        Without the exponent shift, one frame: each visited state's logits
-        and weights are computed once, the draw reads the source side through
-        its mask and the reverse factor sums the target side, as ``sample``
-        and ``log_prob`` do; each step scans M + 1 candidates, the source
-        side before the flip and the target side after it."""
-        if self._may_overflow:
-            picks = []
-            for u in uniforms:
-                i, log_p = self.sample(toward, u)
-                log_fwd += log_p
-                self.flip(i)
-                log_rev += self.log_prob(not toward, i)
-                picks.append(i)
-            return picks, log_fwd, log_rev
+        and ``log_rev`` with each step's log probabilities added, in one frame
+        by the ``_weights`` rule; each step scans M + 1 candidates, the
+        source side before the flip and the target side after it."""
         size = self._side_size(toward)
         picks = []
         for u in uniforms:
             if size == 0:
                 raise ValueError("candidate set is empty")
-            z = self._logits()  # cached by the last step's reverse factor
-            i, log_norm = draw_index(self._w * self._masks[toward], u)
-            log_fwd += z.item(i) - log_norm
+            z, shift, w = self._weights(toward)
+            i, log_norm = draw_index(w * self._masks[toward], u)
+            log_fwd += (z.item(i) - shift) - log_norm
             self.flip(i)
-            z = self._logits()
-            log_rev += z.item(i) - log_total(self._w[self._masks[not toward]])
+            z, shift, w = self._weights(not toward)
+            log_rev += (z.item(i) - shift) - log_total(w[self._masks[not toward]])
             picks.append(i)
             size -= 1
         self.evals += (self.model.num_vars + 1) * len(picks)
@@ -575,49 +562,43 @@ class ScanWalkEngine:
         distance = self.state.distance
         return distance if toward else self.model.num_vars - distance
 
-    def _logits(self):
-        """Every bit's logit as a candidate of its own side, and without the
-        shift its weight, for the bound state; cached until the next flip,
-        restore or resync.
+    def _weights(self, toward):
+        """The bound state's logits ``z``, side ``toward``'s shift and a
+        weight vector whose entries on that side are exp(z - shift); shifted
+        weights are zero off the side.
 
         Multiplying by ``side`` negates an agreeing bit's toward logit
         exactly, and exp works element by element, so a side's compacted
-        weights are the doubles of ``exp`` of its compacted logits."""
+        weights are the doubles of ``exp`` of its compacted shifted logits."""
         z = self._z
         if z is None:
             z = self._z = self._side * (self._gamma_rho * (self._local + self._fields))
             if not self._may_overflow:
                 self._w = np.exp(z)
-        return z
+        if not self._may_overflow:
+            return z, 0.0, self._w
+        mask = self._masks[toward]
+        shift = z[mask].max().item()
+        return z, shift, np.exp(z - shift, where=mask, out=np.zeros_like(z))
 
     def sample(self, toward, u):
+        """One ``walk`` draw from side ``toward``; for step-loop twins and perfbench."""
         size = self._side_size(toward)
         if size == 0:
             raise ValueError("candidate set is empty")
         self.evals += size
-        z = self._logits()
-        mask = self._masks[toward]
-        if not self._may_overflow:
-            i, log_norm = draw_index(self._w * mask, u)
-            return i, z.item(i) - log_norm
-        idx = mask.nonzero()[0]
-        compact = z[idx]
-        shift = compact.max().item()
-        pos, log_norm = draw_index(np.exp(compact - shift), u)
-        i = idx.item(pos)
+        z, shift, w = self._weights(toward)
+        i, log_norm = draw_index(w * self._masks[toward], u)
         return i, (z.item(i) - shift) - log_norm
 
     def log_prob(self, toward, i):
+        """Bit ``i``'s ``walk`` log probability on side ``toward`` (twins, perfbench)."""
         mask = self._masks[toward]
         if not mask.item(i):
             return NEG_INF
         self.evals += self._side_size(toward)
-        z = self._logits()
-        if not self._may_overflow:
-            return z.item(i) - log_total(self._w[mask])
-        compact = z[mask]
-        shift = compact.max().item()
-        return (z.item(i) - shift) - log_total(np.exp(compact - shift))
+        z, shift, w = self._weights(toward)
+        return (z.item(i) - shift) - log_total(w[mask])
 
 
 def draw_move_shape(params, draws, distance, num_vars):

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
@@ -294,6 +296,23 @@ class TestRunExperiment:
         run_experiment("glass3d", out_dir=tmp_path / "out", workers=1,
                        trials=2, seed=3, im_moves=40, max_lag=10)
         assert len(calls) == 1
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="only forked workers inherit the coordinator's model")
+    def test_forked_pool_reuses_the_coordinator_model(self, tmp_path, monkeypatch):
+        builds = tmp_path / "builds"
+
+        def counted(config):
+            with open(builds, "a") as log:
+                log.write(f"{os.getpid()}\n")
+            return build_model(config)
+
+        monkeypatch.setattr(experiments, "build_model", counted)
+        monkeypatch.setattr(experiments, "_worker_model", (None, None))
+        run_experiment("glass3d", out_dir=tmp_path / "out", workers=2,
+                       trials=4, seed=3, im_moves=40, max_lag=10)
+        assert builds.read_text().split() == [str(os.getpid())]
+        assert experiments._worker_model == (None, None)
 
     def test_pool_worker_builds_each_preset_model_once(self, monkeypatch):
         calls = []

@@ -394,7 +394,10 @@ SHIFTED_MODELS = {
 
 # sha256 of the walks, log_fwd and log_rev (as float.hex) of 200
 # propose(..., engine="scan") calls at gamma = 1, k from 1 to 3, random
-# order, each move accepted or rejected by Metropolis at beta = 1
+# order, each move accepted or rejected by Metropolis at beta = 1. The
+# strong-bond digest holds only where numpy's float64 exp takes its AVX512
+# path: elsewhere exp differs in the last bit on some arguments, and the
+# hashed log doubles pass through it (ROADMAP item 13).
 SHIFTED_SCAN_DIGESTS = {
     "strong-bond":
         "3bf4d6f6fe65beca4dc6f07f5f5e989a2ffebe52e4efbc4086e548470e5040f2",
@@ -417,6 +420,12 @@ def shifted_scan_digest(name):
         if math.log(rng.random()) < log_alpha:
             state = move.proposed
     return digest.hexdigest()
+
+
+def simd_dispatch():
+    """numpy's dispatched SIMD targets, where its build reports them."""
+    core = getattr(np, "_core", None) or np.core
+    return getattr(core._multiarray_umath, "__cpu_dispatch__", "not reported")
 
 
 def reference_candidates(engine, toward):
@@ -495,7 +504,8 @@ class TestScanExactDoubles:
 
     @pytest.mark.parametrize("name", sorted(SHIFTED_SCAN_DIGESTS))
     def test_shifted_walks_are_pinned(self, name):
-        assert shifted_scan_digest(name) == SHIFTED_SCAN_DIGESTS[name]
+        assert shifted_scan_digest(name) == SHIFTED_SCAN_DIGESTS[name], (
+            f"numpy's dispatched SIMD targets: {simd_dispatch()}")
 
     @pytest.mark.parametrize("name", sorted(SHIFTED_MODELS))
     def test_shifted_moves_keep_pathwise_balance(self, name):
@@ -523,14 +533,15 @@ def dyadic_grid():
 def scan_vectors(engine):
     """Every per-bit vector a scan engine keeps, as exactly comparable lists:
     local fields, side vector, both masks, both neighbour row sets, and the
-    logits, with the weights unless shifted, while a state's are cached."""
+    logits, with the cached weights unless shifted, while a state's are
+    cached."""
     parts = [engine._local.tolist(), engine._side.tolist(),
              [mask.tolist() for mask in engine._masks],
              [row.tolist() for row in engine._nbr_idx],
              [row.tolist() for row in engine._two_j]]
     if engine._z is not None:
         parts.append(engine._z.tolist())
-        if not engine._may_overflow:
+        if engine._w is not None:
             parts.append(engine._w.tolist())
     return parts
 
@@ -540,7 +551,7 @@ def assert_scan_matches_fresh(engine):
     engine's on a copy."""
     fresh = ScanWalkEngine(engine.model, engine.state.copy(), engine.gamma)
     if engine._z is not None:
-        fresh._logits()
+        fresh._weights(True)
     assert scan_vectors(engine) == scan_vectors(fresh)
     num, distance = engine.model.num_vars, engine.state.distance
     for toward in (True, False):
@@ -863,13 +874,28 @@ class TestScanFusedWalk:
         assert synced == [fused, stepped]
 
     @pytest.mark.parametrize("name", sorted(SHIFTED_MODELS))
-    def test_shifted_walks_take_the_step_loop(self, name):
+    def test_shifted_walks_in_one_frame_equal_the_step_loop(self, name):
         model, _ = SHIFTED_MODELS[name]()
         fused, stepped = walk_twins(model, 8, 37, engine_class=ScanWalkEngine, gamma=1.0)
         assert fused._may_overflow
         for order in (ORDER_UP_DOWN, ORDER_DOWN_UP):
             for k in range(1, 9):
                 assert_walks_match(fused, stepped, k, order, seed=200 + k)
+
+    @pytest.mark.parametrize("name", sorted(SHIFTED_MODELS))
+    def test_shifted_walks_call_neither_sample_nor_log_prob(self, name, monkeypatch):
+        model, _ = SHIFTED_MODELS[name]()
+        engine, _ = walk_twins(model, 8, 37, engine_class=ScanWalkEngine, gamma=1.0)
+        assert engine._may_overflow
+
+        def refuse(*args):
+            raise AssertionError("walk took the per-step loop")
+
+        monkeypatch.setattr(ScanWalkEngine, "sample", refuse)
+        monkeypatch.setattr(ScanWalkEngine, "log_prob", refuse)
+        for order in (ORDER_UP_DOWN, ORDER_DOWN_UP):
+            first, second, _, _ = run_walks(engine, np.random.default_rng(3), 4, order)
+            assert len(first) == len(second) == 4
 
     @pytest.mark.parametrize("order", [ORDER_UP_DOWN, ORDER_DOWN_UP])
     def test_empty_source_side_raises_before_a_flip(self, order):
