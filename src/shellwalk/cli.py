@@ -88,7 +88,7 @@ def _positive_int(text):
     return value
 
 
-def _nonnegative_fraction(text):
+def _nonnegative_float(text):
     value = float(text)
     if not (math.isfinite(value) and value >= 0.0):
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
@@ -400,8 +400,8 @@ def build_parser():
     s = sub.add_parser("sample", help="run chains and write trace CSVs")
     s.add_argument("--model", required=True)
     s.add_argument("--sampler", choices=experiments.SAMPLERS, required=True)
-    s.add_argument("--beta", type=float, required=True)
-    s.add_argument("--gamma", type=float, default=None,
+    s.add_argument("--beta", type=_nonnegative_float, required=True)
+    s.add_argument("--gamma", type=_nonnegative_float, default=None,
                    help="walk bias (default: beta)")
     s.add_argument("--k", type=_positive_int, default=None,
                    help="fixed walk length")
@@ -413,11 +413,11 @@ def build_parser():
     group = s.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=int, default=None,
                        help="shell distance (count of active bits)")
-    group.add_argument("--n-fraction", type=_nonnegative_fraction, default=None)
+    group.add_argument("--n-fraction", type=_nonnegative_float, default=None)
     s.add_argument("--moves", type=_positive_int, required=True)
     s.add_argument("--trials", type=_positive_int, default=1)
     s.add_argument("--stride", type=_positive_int, default=1)
-    s.add_argument("--burn-in-fraction", type=_nonnegative_fraction, default=0.1)
+    s.add_argument("--burn-in-fraction", type=_nonnegative_float, default=0.1)
     s.add_argument("--seed", type=int, default=None)
     s.add_argument("--debug", action="store_true",
                    help="assert shell and cache coherence while running")
@@ -452,7 +452,7 @@ def build_parser():
                    default=max(1, os.cpu_count() or 1))
     e.add_argument("--im-moves", type=_positive_int, default=None)
     e.add_argument("--fair-ratio", type=_positive_int, default=None)
-    e.add_argument("--burn-in-fraction", type=_nonnegative_fraction, default=0.1)
+    e.add_argument("--burn-in-fraction", type=_nonnegative_float, default=0.1)
     e.add_argument("--max-lag", type=_positive_int, default=None)
     e.add_argument("--verbose", action="store_true")
     e.add_argument("--out", required=True)

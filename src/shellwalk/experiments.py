@@ -16,7 +16,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass
-from functools import partial
 
 import numpy as np
 
@@ -195,23 +194,18 @@ def chain_specs(config: ExperimentConfig):
     return specs
 
 
-# a pool worker's last preset model, as (_model_key(config), model)
-_worker_model = (None, None)
+# a pool worker's model, which the pool's initializer hands it once
+_worker_model = None
 
 
-def _model_key(config: ExperimentConfig):
-    return (config.generator, dict(config.generator_args))
-
-
-def run_trial(config: ExperimentConfig, spec: ChainSpec):
-    """Run one chain of ``config`` in a pool worker, on the model a forked
-    worker inherits, or else on one it builds (cheaper than pickling and
-    parsing the document) for its first chain of the preset and reuses."""
+def _adopt_model(model):
     global _worker_model
-    key = _model_key(config)
-    if _worker_model[0] != key:
-        _worker_model = (key, build_model(config))
-    return spec.run(_worker_model[1])
+    _worker_model = model
+
+
+def run_trial(spec: ChainSpec):
+    """Run one chain in a pool worker, on the model ``_adopt_model`` stored."""
+    return spec.run(_worker_model)
 
 
 def _first_drop_lag(curve: analysis.AcfCurve):
@@ -243,7 +237,6 @@ def run_config(config: ExperimentConfig, out_dir=".", workers=1,
     """Run the two-sampler comparison that ``config`` resolves; returns the
     summary dict and writes the same files as ``run_experiment``.
     """
-    global _worker_model
     os.makedirs(out_dir, exist_ok=True)
     model = build_model(config)
     save_model(model, os.path.join(out_dir, MODEL_FILE))
@@ -255,10 +248,10 @@ def run_config(config: ExperimentConfig, out_dir=".", workers=1,
     with ExitStack() as stack:
         results = (spec.run(model) for spec in specs)
         if workers > 1:
-            # forked workers inherit the model with the module
-            _worker_model = (_model_key(config), model)
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            results = pool.map(partial(run_trial, config), specs)
+            # a forked worker inherits the model, others unpickle it once
+            pool = stack.enter_context(ProcessPoolExecutor(
+                workers, initializer=_adopt_model, initargs=(model,)))
+            results = pool.map(run_trial, specs)
         for spec, record in zip(specs, results):
             if progress:
                 progress(spec)
@@ -268,7 +261,6 @@ def run_config(config: ExperimentConfig, out_dir=".", workers=1,
                              "params": {"sampler": spec.sampler, "trial": spec.trial,
                                         "moves": spec.moves, "stride": spec.stride}})
             chains[spec.sampler].append((spec, record))
-    _worker_model = (None, None)  # held only for the forked workers
 
     # both samplers' samples cost the same, so one lag = one recorded sample
     groups = {sampler: ([analysis.EnergyTrace(record.energies, {

@@ -198,8 +198,15 @@ def choose_engine_kind(model, gamma, kind="auto"):
     The sum-tree engine wins for sparse models; a dense model (``is_dense``)
     is cheaper to rescan per step. Models whose worst-case |gamma * deltaE|
     could overflow exp() also fall back to the scanning engine, which shifts
-    each side's exponents by their maximum.
+    each side's exponents by their maximum; a forced tree engine on such a
+    model raises ``ConfigurationError``.
     """
+    if kind == "tree" and may_overflow(model, gamma):
+        bound = model.max_flip_delta()
+        raise ConfigurationError(
+            f"the tree engine overflows exp() on this model: its flip bound "
+            f"{bound!r} allows gamma <= {2.0 * MAX_SAFE_EXPONENT / bound!r}, "
+            f"got {gamma!r}; use engine 'scan' or 'auto'")
     if kind in ("tree", "scan"):
         return kind
     if kind != "auto":

@@ -168,6 +168,20 @@ class TestSample:
         assert "--n-fraction" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("temperatures", [
+        ("--beta", "-1"), ("--beta", "nan"), ("--beta", "0.4", "--gamma", "inf")],
+        ids=["beta-negative", "beta-nan", "gamma-inf"])
+    def test_bad_temperature_names_its_flag(self, small_model, tmp_path, capsys,
+                                            temperatures):
+        # gamma defaults to beta, so a bad beta must not read as a bad gamma
+        out = tmp_path / "o"
+        assert run_cli("sample", "--model", small_model, "--sampler", "metropolis",
+                       *temperatures, "--n", 4, "--moves", 10, "--out", out) == 1
+        flag, value = temperatures[-2:]
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be finite and >= 0, got {value}" in err
+        assert not out.exists()
+
     def test_trace_files_are_pinned(self, small_model, tmp_path, monkeypatch):
         # whole files, header included; the relative model path keeps the
         # header free of the temporary directory

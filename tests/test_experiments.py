@@ -14,7 +14,6 @@ from shellwalk.experiments import (
     chain_specs,
     preset_config,
     run_experiment,
-    run_trial,
 )
 
 
@@ -121,6 +120,19 @@ class TestPresetConfig:
         model = build_model(preset_config("glass3d", "desk"))
         assert model.num_vars == 125
         assert model.num_edges == 300
+
+
+@pytest.fixture
+def start_method(request):
+    """Start the test's process pools by the method it is parametrized with,
+    and restore the previous method afterwards."""
+    method = request.param
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    previous = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(method, force=True)
+    yield method
+    multiprocessing.set_start_method(previous, force=True)
 
 
 def digest_directory(root):
@@ -277,7 +289,9 @@ class TestRunExperiment:
         run_experiment("glass3d", out_dir=tmp_path / "b", **kwargs)
         assert digest_directory(tmp_path / "a") == digest_directory(tmp_path / "b")
 
-    def test_worker_pool_matches_serial(self, tmp_path):
+    @pytest.mark.parametrize("start_method", ["fork", "spawn", "forkserver"],
+                             indirect=True)
+    def test_worker_pool_matches_serial(self, tmp_path, start_method):
         kwargs = dict(scale="desk", trials=2, seed=3, im_moves=80, max_lag=10)
         run_experiment("glass3d", out_dir=tmp_path / "serial", workers=1, **kwargs)
         run_experiment("glass3d", out_dir=tmp_path / "pooled", workers=2, **kwargs)
@@ -297,9 +311,9 @@ class TestRunExperiment:
                        trials=2, seed=3, im_moves=40, max_lag=10)
         assert len(calls) == 1
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="only forked workers inherit the coordinator's model")
-    def test_forked_pool_reuses_the_coordinator_model(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("start_method", ["fork"], indirect=True)
+    def test_forked_pool_reuses_the_coordinator_model(self, tmp_path, monkeypatch,
+                                                      start_method):
         builds = tmp_path / "builds"
 
         def counted(config):
@@ -308,32 +322,20 @@ class TestRunExperiment:
             return build_model(config)
 
         monkeypatch.setattr(experiments, "build_model", counted)
-        monkeypatch.setattr(experiments, "_worker_model", (None, None))
         run_experiment("glass3d", out_dir=tmp_path / "out", workers=2,
                        trials=4, seed=3, im_moves=40, max_lag=10)
         assert builds.read_text().split() == [str(os.getpid())]
-        assert experiments._worker_model == (None, None)
+        assert experiments._worker_model is None
 
-    def test_pool_worker_builds_each_preset_model_once(self, monkeypatch):
-        calls = []
+    def test_failed_pooled_run_leaves_no_model_in_the_coordinator(self, tmp_path):
+        def interrupted(spec):
+            raise RuntimeError("stopped after the first chain")
 
-        def counted(config):
-            calls.append(config)
-            return build_model(config)
-
-        monkeypatch.setattr(experiments, "build_model", counted)
-        monkeypatch.setattr(experiments, "_worker_model", (None, None))
-        config = preset_config("glass3d", "desk", trials=1, seed=3,
-                               im_moves=40, max_lag=10)
-        model = build_model(config)
-        for spec in chain_specs(config):
-            record = run_trial(config, spec)
-            assert np.array_equal(record.energies, spec.run(model).energies)
-        assert len(calls) == 1
-        other = preset_config("glass3d", "desk", trials=1, seed=4,
-                              im_moves=40, max_lag=10)
-        run_trial(other, chain_specs(other)[1])
-        assert len(calls) == 2
+        with pytest.raises(RuntimeError, match="stopped"):
+            run_experiment("glass3d", out_dir=tmp_path / "out", workers=2,
+                           trials=2, seed=3, im_moves=40, max_lag=10,
+                           progress=interrupted)
+        assert experiments._worker_model is None
 
     def test_metropolis_gets_fair_ratio_moves(self, tmp_path):
         summary = run_experiment(

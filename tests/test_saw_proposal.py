@@ -333,9 +333,28 @@ class TestEngines:
         # extreme couplings overflow raw exponential weights
         hot = IsingModel(4, [(0, 1, 4000.0)], [0.0] * 4)
         assert choose_engine_kind(hot, 1.0) == "scan"
-        assert choose_engine_kind(hot, 1.0, kind="tree") == "tree"
+        with pytest.raises(ConfigurationError, match="tree engine overflows"):
+            choose_engine_kind(hot, 1.0, kind="tree")
+        # below the largest safe gamma the forced tree engine stays
+        assert choose_engine_kind(hot, 2 * MAX_SAFE_EXPONENT / 16000.0,
+                                  kind="tree") == "tree"
         with pytest.raises(ValueError):
             choose_engine_kind(sparse, 0.5, kind="bogus")
+
+    def test_forced_tree_refuses_a_ring_whose_flips_overflow(self):
+        # fields of 705 bound a flip by 1412, so gamma = 1 puts exponents
+        # past MAX_SAFE_EXPONENT: the tree's sums would overflow to inf
+        model = IsingModel(40, [(i, (i + 1) % 40, 0.5) for i in range(40)],
+                           [705.0] * 40)
+        state = ShellState(model, [1] * 20 + [0] * 20, (0,) * 40)
+        params = SawParams(gamma=1.0, k_min=1, k_max=3)
+        largest = repr(2 * MAX_SAFE_EXPONENT / 1412.0)
+        with pytest.raises(ConfigurationError, match=largest):
+            ImSampler(model, state, ImConfig(beta=1.0, saw=params, engine="tree"))
+        with pytest.raises(ConfigurationError, match="flip bound 1412.0"):
+            propose(model, state, params, np.random.default_rng(0), engine="tree")
+        sampler = ImSampler(model, state, ImConfig(beta=1.0, saw=params))
+        assert isinstance(sampler.engine, ScanWalkEngine)
 
     def test_zero_gamma_never_overflows_and_skips_the_bound(self, monkeypatch):
         hot = IsingModel(4, [(0, 1, 4000.0)], [0.0] * 4)
