@@ -251,6 +251,9 @@ def run_config(config: ExperimentConfig, out_dir=".", workers=1,
             # a forked worker inherits the model, others unpickle it once
             pool = stack.enter_context(ProcessPoolExecutor(
                 workers, initializer=_adopt_model, initargs=(model,)))
+            # runs before the pool's own exit: a failing run drops the
+            # chains no worker has started instead of waiting for them
+            stack.callback(pool.shutdown, cancel_futures=True)
             results = pool.map(run_trial, specs)
         for spec, record in zip(specs, results):
             if progress:

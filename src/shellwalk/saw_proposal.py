@@ -41,8 +41,8 @@ ORDER_POLICIES = (ORDER_UP_DOWN, ORDER_DOWN_UP, "random")
 NEG_INF = float("-inf")
 
 # Exponents beyond this magnitude are shifted by their side's largest logit
-# before exponentiation (scan engine), or force the scan engine outright
-# (the tree stores raw exponentials and cannot shift them).
+# before exponentiation (scan engine); the tree stores raw exponentials and
+# cannot shift them, so it refuses such a model when it is built.
 MAX_SAFE_EXPONENT = 500.0
 
 DENSE_DEGREE_FRACTION = 0.25
@@ -198,15 +198,9 @@ def choose_engine_kind(model, gamma, kind="auto"):
     The sum-tree engine wins for sparse models; a dense model (``is_dense``)
     is cheaper to rescan per step. Models whose worst-case |gamma * deltaE|
     could overflow exp() also fall back to the scanning engine, which shifts
-    each side's exponents by their maximum; a forced tree engine on such a
-    model raises ``ConfigurationError``.
+    each side's exponents by their maximum; a forced ``"tree"`` is returned
+    as is, and ``TreeWalkEngine`` refuses such a model itself.
     """
-    if kind == "tree" and may_overflow(model, gamma):
-        bound = model.max_flip_delta()
-        raise ConfigurationError(
-            f"the tree engine overflows exp() on this model: its flip bound "
-            f"{bound!r} allows gamma <= {2.0 * MAX_SAFE_EXPONENT / bound!r}, "
-            f"got {gamma!r}; use engine 'scan' or 'auto'")
     if kind in ("tree", "scan"):
         return kind
     if kind != "auto":
@@ -244,9 +238,20 @@ class TreeWalkEngine:
     the flip rule is written once. ``sample`` and ``log_prob`` read a step's
     draw and reverse weight off the trees. A flip also flips the bound state
     with the energy change read off the local field.
+
+    A model on which some flip's exponent could pass ``MAX_SAFE_EXPONENT``
+    (``may_overflow``) raises ``ConfigurationError`` here, so every
+    candidate's leaf lies in [e^-500, e^500]: no sum overflows, and a
+    nonempty side's weights and total are positive.
     """
 
     def __init__(self, model: IsingModel, state: ShellState, gamma: float):
+        if may_overflow(model, gamma):
+            bound = model.max_flip_delta()
+            raise ConfigurationError(
+                f"the tree engine overflows exp() on this model: its flip bound "
+                f"{bound!r} allows gamma <= {2.0 * MAX_SAFE_EXPONENT / bound!r}, "
+                f"got {gamma!r}; use engine 'scan' or 'auto'")
         self.model = model
         self.state = state
         self.gamma = gamma
@@ -334,7 +339,6 @@ class TreeWalkEngine:
         for u in sources:
             i = sample(u) if drawn else u
             p = base + i
-            # the draw never lands on a zero leaf, and raises on a zero total
             log_fwd += log(old[p]) - log(old[1])
             # bit i's field is untouched by its own flip (no self-couplings)
             field_i = local[i] + fields[i]
@@ -370,12 +374,7 @@ class TreeWalkEngine:
             if state._flips % RESYNC_INTERVAL == 0:
                 self.sync()
                 local, toward_nodes, away_nodes, sample, old, new = self._walk_frame(toward)
-            w = new[base + i]
-            total = new[1]
-            if w <= 0.0 or total <= 0.0:
-                raise ValueError(
-                    f"log weight fraction undefined for weight {w} of total {total}")
-            log_rev += log(w) - log(total)
+            log_rev += log(new[base + i]) - log(new[1])
             picks.append(i)
         self.evals += evals
         return picks, log_fwd, log_rev
@@ -403,17 +402,11 @@ class TreeWalkEngine:
         return i, self.log_prob(toward, i)
 
     def log_prob(self, toward, i):
-        """log(w_i) - log(total) off the ``toward`` tree's nodes, raising on
-        a zero weight as the step loop does."""
+        """log(w_i) - log(total) off the ``toward`` tree's nodes."""
         if self.state.in_disagree(i) != toward:
             return NEG_INF
         nodes = (self._toward if toward else self._away)._nodes
-        w = nodes[self._base + i]
-        total = nodes[1]
-        if w <= 0.0 or total <= 0.0:
-            raise ValueError(
-                f"log weight fraction undefined for weight {w} of total {total}")
-        return math.log(w) - math.log(total)
+        return math.log(nodes[self._base + i]) - math.log(nodes[1])
 
 
 def draw_index(weights, u):
@@ -423,15 +416,14 @@ def draw_index(weights, u):
     A weight of 0.0 adds exactly 0.0 to every later partial sum, so zeroed
     entries (a masked-out side, an underflowed weight) leave the partial sums
     of the others, the total and the drawn entry as their compacted vector
-    would give. A draw at the total, or just below it after rounding, falls
-    back to the last positive weight. A zero total raises ``ValueError``.
+    would give. For u < 1 and a normal total, ``u * total`` rounds below the
+    total, so the draw lands on a positive weight; the scan engine's totals
+    are at least e^-500, or 1 after a shift. A zero total raises
+    ``ValueError``.
     """
     cumulative = weights.cumsum()
     total = cumulative.item(-1)
-    pos = min(int(cumulative.searchsorted(u * total, side="right")), weights.size - 1)
-    while weights.item(pos) <= 0.0 and pos > 0:
-        pos -= 1
-    return pos, math.log(total)
+    return int(cumulative.searchsorted(u * total, side="right")), math.log(total)
 
 
 def log_total(weights):
@@ -455,15 +447,16 @@ class ScanWalkEngine:
     Per state, every bit's logit as a candidate of its own side is
     ``z = side * (gamma * rho * (local + fields))`` with the reference's
     spin ``rho = -state.disagree_spin``. ``_weights``, the one weights rule
-    of ``walk``, ``sample`` and ``log_prob``, gives a side's shift and
-    weights ``w = exp(z - shift)``: when no flip can push exp() near
-    overflow, the shift is 0.0 and ``exp(z)`` is one exp per state, cached
-    until the next flip, restore or resync; otherwise the shift is the
-    side's largest logit. A draw reads the source side's weights as
-    ``w * mask`` (``draw_index``); a reverse factor sums the target side's
-    compacted weights (``log_total``); each adds ``(z[i] - shift)`` minus
-    the log of its total. ``MetropolisSampler`` binds one at gamma 0 on a
-    dense model for its local fields alone and computes no logits.
+    of ``walk``, ``sample`` and ``log_prob``, gives a side's shifted logits
+    ``z - shift`` and weights ``w = exp(z - shift)``: when no flip can push
+    exp() near overflow, the shift is 0.0 and ``exp(z)`` is one exp per
+    state, cached until the next flip, restore or resync; otherwise the
+    shift is the side's largest logit. A draw reads the source side's
+    weights as ``w * mask`` (``draw_index``); a reverse factor sums the
+    target side's compacted weights (``log_total``); each adds the shifted
+    logit of bit i minus the log of its total. ``MetropolisSampler`` binds
+    one at gamma 0 on a dense model for its local fields alone and computes
+    no logits.
     """
 
     def __init__(self, model: IsingModel, state: ShellState, gamma: float):
@@ -553,12 +546,12 @@ class ScanWalkEngine:
         for u in uniforms:
             if size == 0:
                 raise ValueError("candidate set is empty")
-            z, shift, w = self._weights(toward)
+            z, w = self._weights(toward)
             i, log_norm = draw_index(w * self._masks[toward], u)
-            log_fwd += (z.item(i) - shift) - log_norm
+            log_fwd += z.item(i) - log_norm
             self.flip(i)
-            z, shift, w = self._weights(not toward)
-            log_rev += (z.item(i) - shift) - log_total(w[self._masks[not toward]])
+            z, w = self._weights(not toward)
+            log_rev += z.item(i) - log_total(w[self._masks[not toward]])
             picks.append(i)
             size -= 1
         self.evals += (self.model.num_vars + 1) * len(picks)
@@ -570,8 +563,8 @@ class ScanWalkEngine:
         return distance if toward else self.model.num_vars - distance
 
     def _weights(self, toward):
-        """The bound state's logits ``z``, side ``toward``'s shift and a
-        weight vector whose entries on that side are exp(z - shift); shifted
+        """The bound state's logits less side ``toward``'s shift, and a
+        weight vector whose entries on that side are their exp; shifted
         weights are zero off the side.
 
         Multiplying by ``side`` negates an agreeing bit's toward logit
@@ -583,10 +576,10 @@ class ScanWalkEngine:
             if not self._may_overflow:
                 self._w = np.exp(z)
         if not self._may_overflow:
-            return z, 0.0, self._w
+            return z, self._w
         mask = self._masks[toward]
-        shift = z[mask].max().item()
-        return z, shift, np.exp(z - shift, where=mask, out=np.zeros_like(z))
+        z = z - z[mask].max().item()
+        return z, np.exp(z, where=mask, out=np.zeros_like(z))
 
     def sample(self, toward, u):
         """One ``walk`` draw from side ``toward``; for step-loop twins and perfbench."""
@@ -594,9 +587,9 @@ class ScanWalkEngine:
         if size == 0:
             raise ValueError("candidate set is empty")
         self.evals += size
-        z, shift, w = self._weights(toward)
+        z, w = self._weights(toward)
         i, log_norm = draw_index(w * self._masks[toward], u)
-        return i, (z.item(i) - shift) - log_norm
+        return i, z.item(i) - log_norm
 
     def log_prob(self, toward, i):
         """Bit ``i``'s ``walk`` log probability on side ``toward`` (twins, perfbench)."""
@@ -604,8 +597,8 @@ class ScanWalkEngine:
         if not mask.item(i):
             return NEG_INF
         self.evals += self._side_size(toward)
-        z, shift, w = self._weights(toward)
-        return (z.item(i) - shift) - log_total(w[mask])
+        z, w = self._weights(toward)
+        return z.item(i) - log_total(w[mask])
 
 
 def draw_move_shape(params, draws, distance, num_vars):

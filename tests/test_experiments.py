@@ -15,6 +15,7 @@ from shellwalk.experiments import (
     preset_config,
     run_experiment,
 )
+from shellwalk.samplers import ChainSpec
 
 
 class TestPresetConfig:
@@ -336,6 +337,29 @@ class TestRunExperiment:
                            trials=2, seed=3, im_moves=40, max_lag=10,
                            progress=interrupted)
         assert experiments._worker_model is None
+
+    @pytest.mark.parametrize("start_method", ["fork"], indirect=True)
+    def test_failed_pooled_run_cancels_chains_no_worker_started(
+            self, tmp_path, monkeypatch, start_method):
+        runs = tmp_path / "runs"
+        run = ChainSpec.run
+
+        def counted(spec, model, audit=False):
+            with open(runs, "a") as log:
+                log.write(f"{spec.sampler}-{spec.trial}\n")
+            return run(spec, model, audit)
+
+        def interrupted(spec):
+            raise RuntimeError("stopped after the first chain")
+
+        # forked workers inherit the counting run
+        monkeypatch.setattr(ChainSpec, "run", counted)
+        config = preset_config("glass3d", "desk", trials=10, seed=3,
+                               im_moves=1500, max_lag=10)
+        with pytest.raises(RuntimeError, match="stopped"):
+            experiments.run_config(config, out_dir=tmp_path / "out", workers=2,
+                                   progress=interrupted)
+        assert len(runs.read_text().split()) < len(chain_specs(config))
 
     def test_metropolis_gets_fair_ratio_moves(self, tmp_path):
         summary = run_experiment(

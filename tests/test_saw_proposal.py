@@ -2,10 +2,11 @@ import copy
 import hashlib
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shellwalk import IsingModel, ShellConstraint, ShellState
@@ -24,6 +25,7 @@ from shellwalk.saw_proposal import (
     TreeWalkEngine,
     check_walk_lengths,
     choose_engine_kind,
+    draw_index,
     feasible_k_max,
     is_dense,
     may_overflow,
@@ -333,11 +335,8 @@ class TestEngines:
         # extreme couplings overflow raw exponential weights
         hot = IsingModel(4, [(0, 1, 4000.0)], [0.0] * 4)
         assert choose_engine_kind(hot, 1.0) == "scan"
-        with pytest.raises(ConfigurationError, match="tree engine overflows"):
-            choose_engine_kind(hot, 1.0, kind="tree")
-        # below the largest safe gamma the forced tree engine stays
-        assert choose_engine_kind(hot, 2 * MAX_SAFE_EXPONENT / 16000.0,
-                                  kind="tree") == "tree"
+        # a forced kind is only chosen: the tree engine refuses when built
+        assert choose_engine_kind(hot, 1.0, kind="tree") == "tree"
         with pytest.raises(ValueError):
             choose_engine_kind(sparse, 0.5, kind="bogus")
 
@@ -355,6 +354,27 @@ class TestEngines:
             propose(model, state, params, np.random.default_rng(0), engine="tree")
         sampler = ImSampler(model, state, ImConfig(beta=1.0, saw=params))
         assert isinstance(sampler.engine, ScanWalkEngine)
+
+    @pytest.mark.parametrize("model,bits", [
+        (IsingModel(40, [(i, (i + 1) % 40, 0.5) for i in range(40)],
+                    [705.0] * 40), [1] * 20 + [0] * 20),
+        # from these bits an unrefused build would hold zero leaves
+        (IsingModel(4, [(0, 1, 4000.0)], [0.0] * 4), [1, 1, 0, 0]),
+    ], ids=["ring", "hot"])
+    def test_direct_tree_build_refuses_a_model_whose_flips_overflow(self, model, bits):
+        bound = model.max_flip_delta()
+        reference = (0,) * model.num_vars
+        with pytest.raises(ConfigurationError, match=f"flip bound {bound!r}"):
+            TreeWalkEngine(model, ShellState(model, bits, reference), 1.0)
+        # at the largest safe gamma every leaf stays within exp()'s range
+        engine = TreeWalkEngine(model, ShellState(model, bits, reference),
+                                2 * MAX_SAFE_EXPONENT / bound)
+        for toward in (True, False):
+            tree = engine._toward if toward else engine._away
+            assert 0.0 < tree._nodes[1] < math.inf
+            for i in range(model.num_vars):
+                if engine.state.in_disagree(i) == toward:
+                    assert math.isfinite(engine.log_prob(toward, i))
 
     def test_zero_gamma_never_overflows_and_skips_the_bound(self, monkeypatch):
         hot = IsingModel(4, [(0, 1, 4000.0)], [0.0] * 4)
@@ -483,6 +503,44 @@ def reference_log_prob(engine, toward, i):
     pos = candidates.index(i)
     total = float(np.exp(z - shift).sum())
     return float(z[pos] - shift) - math.log(total)
+
+
+# positive weights whose sums of up to 26 never overflow
+POSITIVE_WEIGHTS = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
+
+
+@st.composite
+def padded_weights(draw):
+    """A weight vector with zeros at its front, among its entries and at its
+    back, holding at least one positive weight and a normal total."""
+    body = draw(st.lists(st.one_of(st.just(0.0), POSITIVE_WEIGHTS),
+                         min_size=1, max_size=20))
+    front, back = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    weights = np.array([0.0] * front + body + [0.0] * back)
+    total = weights.cumsum().item(-1)
+    assume(total >= sys.float_info.min)
+    return weights
+
+
+UNIFORMS = st.one_of(st.just(0.0), st.just(math.nextafter(1.0, 0.0)),
+                     st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+
+
+class TestDrawIndex:
+    @given(weights=padded_weights(), u=UNIFORMS)
+    @settings(max_examples=300, deadline=None)
+    def test_draws_a_positive_weight_as_the_compacted_vector_would(self, weights, u):
+        i, log_norm = draw_index(weights, u)
+        assert weights[i] > 0.0
+        positive = np.flatnonzero(weights)
+        j, compact_log_norm = draw_index(weights[positive], u)
+        assert i == positive[j]
+        assert log_norm == compact_log_norm
+
+    @given(size=st.integers(1, 10), u=UNIFORMS)
+    def test_zero_total_raises(self, size, u):
+        with pytest.raises(ValueError):
+            draw_index(np.zeros(size), u)
 
 
 class TestScanExactDoubles:
@@ -657,7 +715,8 @@ class TestTreeLogProb:
         engine = TreeWalkEngine(model, state, gamma=0.5)
         i = state.disagree_indices()[0]
         engine._toward.update(i, 0.0)
-        with pytest.raises(ValueError, match="undefined for weight 0.0 of total"):
+        # a built engine never holds a zero candidate leaf; forced, log raises
+        with pytest.raises(ValueError, match="math domain error"):
             engine.log_prob(True, i)
 
 
