@@ -470,7 +470,7 @@ def main(argv=None):
         if getattr(args, "seed", None) is None and hasattr(args, "seed"):
             args.seed = _default_seed()
         return args.func(args)
-    except ModelFormatError as exc:
+    except (ModelFormatError, UnicodeDecodeError) as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ConfigurationError, DegenerateTraceError, EnumerationBudgetError,

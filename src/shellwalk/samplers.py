@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,15 +179,14 @@ class MetropolisSampler:
 
     On a dense model (``is_dense``) the sampler binds a ``ScanWalkEngine``
     and reads each bit's deltaE = 2 * s * (local + field) off its local
-    fields, and J_ij by bisection in bit i's ascending adjacency row; an
-    accepted swap is two engine flips. It never calls ``sample`` or
-    ``log_prob``, so the engine computes no logits. On a sparse model the
+    fields; an accepted swap is two engine flips. It never calls ``sample``
+    or ``log_prob``, so the engine computes no logits. On a sparse model the
     sampler keeps each bit's field sum ``fields[i] + sum_j J_ij * s_j`` as
     the last swap that read it computed it, and recomputes it only once an
     accepted swap has flipped a neighbour and marked it stale; a bit's own
-    flip leaves its sum alone, as the model has no self-couplings. J_ij
-    comes from bit i's ``{j: J_ij}`` dict, built when bit i is first
-    picked. An accepted swap hands each bit's energy change to
+    flip leaves its sum alone, as the model has no self-couplings. On
+    either model J_ij comes from bit i's ``{j: J_ij}`` dict, built when bit
+    i is first picked. An accepted swap hands each bit's energy change to
     ``ShellState.flip``, except the second bit's when the two are
     neighbors, since the first flip changes its field. An audited state has
     every sum a swap reads compared with a fresh one, exactly.
@@ -219,7 +217,7 @@ class MetropolisSampler:
         self._slots = state.disagree_indices() + state.agree_indices()
         # a swap exponentiates only its own deltaE: no overflow rule, gamma 0
         self._engine = ScanWalkEngine(model, state, 0.0) if is_dense(model) else None
-        # sparse path: field sums (None when stale) and coupling dicts by bit
+        # sparse path: field sums (None when stale); both: coupling dicts by bit
         self._sums = [None] * model.num_vars
         self._rows = [None] * model.num_vars
         self.accepts = 0
@@ -239,6 +237,10 @@ class MetropolisSampler:
         j = slots[b]
         spins = state.spins
         fields = model.fields
+        row = self._rows[i]
+        if row is None:
+            row = self._rows[i] = dict(model.adjacency[i])
+        coupling_ij = row.get(j, 0.0)
         if engine is None:
             # ShellState.delta_energy's sum: field first, then adjacency order
             sums = self._sums
@@ -259,18 +261,11 @@ class MetropolisSampler:
                     # doubling keeps the comparison of the two sums exact
                     if 2.0 * spins[bit] * sums[bit] != state.delta_energy(bit):
                         raise CoherenceError(f"cached field sum of bit {bit} is stale")
-            row = self._rows[i]
-            if row is None:
-                row = self._rows[i] = dict(model.adjacency[i])
-            coupling_ij = row.get(j, 0.0)
         else:
             # a resync replaces the engine's vector
             local = engine._local
             acc_i = local.item(i) + fields[i]
             acc_j = local.item(j) + fields[j]
-            row = model.adjacency[i]
-            pos = bisect_left(row, (j,))
-            coupling_ij = row[pos][1] if pos < len(row) and row[pos][0] == j else 0.0
         delta_i = 2.0 * spins[i] * acc_i
         delta_j = 2.0 * spins[j] * acc_j
         delta = delta_i + delta_j - 4.0 * spins[i] * spins[j] * coupling_ij

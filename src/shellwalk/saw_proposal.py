@@ -435,23 +435,22 @@ class ScanWalkEngine:
     """Per-step candidate scan for dense models or extreme exponents.
 
     Keeps the local fields as a vector, each bit's neighbours and 2 * J_ij,
-    and three per-bit copies of the state's partition, which ``sync`` and
-    ``restore`` set from the state and ``flip`` keeps current: ``side``,
-    +1.0 for a disagreeing bit (a toward candidate) and -1.0 for an
-    agreeing one, which signs the logits, and the boolean masks
-    ``_masks[toward]`` (``side > 0``, ``side < 0`` for away), which select
-    a side's candidates in ascending bit order. Spins are read from the
-    bound state; ``flip``, the one flip rule, also flips it and adds the
-    bit's 2 * J row to its neighbours' fields.
+    the logit coefficient ``_coef = -gamma * s`` of each bit's spin s, and
+    the boolean masks ``_masks[toward]`` (disagreeing bits, the toward
+    candidates, and their complement for away), which select a side's
+    candidates in ascending bit order; ``sync`` builds both from the state
+    and ``flip`` keeps them current. Spins are read from the bound state;
+    ``flip``, the one flip rule, also flips it and adds the bit's 2 * J row
+    to its neighbours' fields.
 
     Per state, every bit's logit as a candidate of its own side is
-    ``z = side * (gamma * rho * (local + fields))`` with the reference's
-    spin ``rho = -state.disagree_spin``. ``_weights``, the one weights rule
-    of ``walk``, ``sample`` and ``log_prob``, gives a side's shifted logits
-    ``z - shift`` and weights ``w = exp(z - shift)``: when no flip can push
-    exp() near overflow, the shift is 0.0 and ``exp(z)`` is one exp per
-    state, cached until the next flip, restore or resync; otherwise the
-    shift is the side's largest logit. A draw reads the source side's
+    ``z = _coef * (local + fields)``, -gamma / 2 times the energy change
+    2 * s * (local + fields) of its flip. ``_weights``, the one weights
+    rule of ``walk``, ``sample`` and ``log_prob``, gives a side's shifted
+    logits ``z - shift`` and weights ``w = exp(z - shift)``: when no flip
+    can push exp() near overflow, the shift is 0.0 and ``exp(z)`` is one
+    exp per state, cached until the next flip, restore or resync;
+    otherwise the shift is the side's largest logit. A draw reads the source side's
     weights as ``w * mask`` (``draw_index``); a reverse factor sums the
     target side's compacted weights (``log_total``); each adds the shifted
     logit of bit i minus the log of its total. ``MetropolisSampler`` binds
@@ -474,16 +473,14 @@ class ScanWalkEngine:
             two_j += two_j
             self._two_j.append(two_j)
         self._fields = np.array(model.fields, dtype=np.float64)
-        # gamma * rho; every factor is +/-gamma exactly
-        self._gamma_rho = -gamma * np.array(state.disagree_spin)
         # exp(z) is cached as _w unless a flip could push exp() near overflow
         self._may_overflow = may_overflow(model, gamma)
         self._local = self._w = None
         self.sync()
 
     def sync(self):
-        """Rebuild local fields, the side vector and the masks from the
-        bound state, checking the old fields as ``TreeWalkEngine.sync`` does."""
+        """Rebuild local fields, the logit coefficients and the masks from
+        the bound state, checking the old fields as ``TreeWalkEngine.sync`` does."""
         state = self.state
         spins = np.array(state.spins, dtype=np.float64)
         num = self.model.num_vars
@@ -494,17 +491,18 @@ class ScanWalkEngine:
             local[i] = 0.5 * float(self._two_j[i] @ spins[self._nbr_idx[i]])
         check_local_fields(state, self._local, local)
         self._local = local
-        self._set_side(spins * state.disagree_spin)
+        # every entry is +/-gamma exactly
+        self._coef = -self.gamma * spins
+        self._set_masks(spins == state.disagree_spin)
 
-    def _set_side(self, side):
-        """Take ``side`` as the side vector and derive both masks from it."""
-        self._side = side
-        self._masks = (side < 0.0, side > 0.0)
+    def _set_masks(self, toward):
+        """Take ``toward`` as the toward mask and its complement as away."""
+        self._masks = (~toward, toward)
         self._z = None
 
     def flip(self, i):
         """Flip bit ``i`` of the bound state, its neighbours' local fields,
-        its side and both masks."""
+        its logit coefficient and both masks."""
         state = self.state
         local = self._local
         s = state.spins[i]
@@ -514,11 +512,10 @@ class ScanWalkEngine:
             local[self._nbr_idx[i]] -= self._two_j[i]
         else:
             local[self._nbr_idx[i]] += self._two_j[i]
-        side = self._side
-        # an agreeing bit starts to disagree: a toward candidate
-        toward = side.item(i) < 0.0
-        side[i] = 1.0 if toward else -1.0
+        self._coef[i] = -self._coef.item(i)
         away_mask, toward_mask = self._masks
+        # an agreeing bit starts to disagree: a toward candidate
+        toward = away_mask.item(i)
         away_mask[i] = not toward
         toward_mask[i] = toward
         self._z = None
@@ -526,15 +523,17 @@ class ScanWalkEngine:
             self.sync()
 
     def checkpoint(self):
-        """Copies of the bound state, local fields and side vector."""
-        return (self.state.checkpoint(), self._local.copy(), self._side.copy())
+        """Copies of the bound state, local fields, logit coefficients and
+        toward mask."""
+        return (self.state.checkpoint(), self._local.copy(), self._coef.copy(),
+                self._masks[True].copy())
 
     def restore(self, saved):
         """Return to a ``checkpoint`` as ``TreeWalkEngine.restore`` does; the
-        masks are derived from the restored side vector."""
-        state, self._local, side = saved
+        away mask is the restored toward mask's complement."""
+        state, self._local, self._coef, toward = saved
         self.state.restore(state)
-        self._set_side(side)
+        self._set_masks(toward)
 
     def walk(self, toward, uniforms, log_fwd, log_rev):
         """Walk one step per uniform; returns the picked bits, and ``log_fwd``
@@ -567,12 +566,13 @@ class ScanWalkEngine:
         weight vector whose entries on that side are their exp; shifted
         weights are zero off the side.
 
-        Multiplying by ``side`` negates an agreeing bit's toward logit
-        exactly, and exp works element by element, so a side's compacted
-        weights are the doubles of ``exp`` of its compacted shifted logits."""
+        Each coefficient is +/-gamma exactly, so a logit is the once-rounded
+        product -gamma * s * (local + field), and exp works element by
+        element, so a side's compacted weights are the doubles of ``exp`` of
+        its compacted shifted logits."""
         z = self._z
         if z is None:
-            z = self._z = self._side * (self._gamma_rho * (self._local + self._fields))
+            z = self._z = self._coef * (self._local + self._fields)
             if not self._may_overflow:
                 self._w = np.exp(z)
         if not self._may_overflow:

@@ -600,3 +600,19 @@ def test_non_integer_env_seed_is_a_usage_error(small_model, tmp_path, capsys,
     err = capsys.readouterr().err
     assert "error: SHELLWALK_SEED must be an integer, got 'abc'" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sample", "analyze", "gen"])
+def test_non_utf8_file_is_a_file_error(tmp_path, capsys, command):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\xfe{}\n")
+    out = tmp_path / "o"
+    args = {
+        "sample": ("sample", "--model", path, "--sampler", "im", "--beta", 0.4,
+                   "--n", 1, "--moves", 10),
+        "analyze": ("analyze", path),
+        "gen": ("gen", "rbm", "--weights", path),
+    }[command]
+    assert run_cli(*args, "--out", out) == 3
+    assert capsys.readouterr().err.startswith("file error: 'utf-8' codec")
+    assert not out.exists()

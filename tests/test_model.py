@@ -264,7 +264,8 @@ class TestModelValidation:
         assert sum(len(r) for r in model.adjacency) == 2 * len(model.edges)
 
     def test_adjacency_rows_are_ascending(self):
-        # the dense Metropolis swap finds J_ij by bisection in bit i's row
+        # each bit's field sum is added in row order, so a row order set by
+        # the bits alone gives the same doubles however the edges are listed
         rng = np.random.default_rng(5)
         edges = [(j, i, c) if rng.random() < 0.5 else (i, j, c)
                  for i, j, c in random_model(rng, num_vars=12, edge_prob=0.5).edges]

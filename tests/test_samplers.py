@@ -131,7 +131,7 @@ def engine_snapshot(engine):
     if isinstance(engine, TreeWalkEngine):
         return parts + [list(engine._local), list(engine._toward._nodes),
                         list(engine._away._nodes)]
-    return parts + [engine._local.tolist(), engine._side.tolist(),
+    return parts + [engine._local.tolist(), engine._coef.tolist(),
                     [mask.tolist() for mask in engine._masks]]
 
 

@@ -609,10 +609,10 @@ def dyadic_grid():
 
 def scan_vectors(engine):
     """Every per-bit vector a scan engine keeps, as exactly comparable lists:
-    local fields, side vector, both masks, both neighbour row sets, and the
-    logits, with the cached weights unless shifted, while a state's are
-    cached."""
-    parts = [engine._local.tolist(), engine._side.tolist(),
+    local fields, logit coefficients, both masks, both neighbour row sets,
+    and the logits, with the cached weights unless shifted, while a state's
+    are cached."""
+    parts = [engine._local.tolist(), engine._coef.tolist(),
              [mask.tolist() for mask in engine._masks],
              [row.tolist() for row in engine._nbr_idx],
              [row.tolist() for row in engine._two_j]]
